@@ -5,9 +5,10 @@ universal so/sp characters.
 
 This is the second, independent route to K_{lambda,empty}(q): the finite
 harmonic character is obtained by decomposing S^a(g) directly from its
-weight system (Weyl-numerator peeling), while the stable route goes
-through Littlewood-Richardson sums over even-row / even-column
-partitions.
+weight system (a Brauer-Klimyk step: each weight, shifted by rho, is
+reflected into the dominant chamber with its sign, and weights on a
+wall cancel), while the stable route goes through Littlewood-Richardson
+sums over even-row / even-column partitions.
 """
 
 __all__ = [
@@ -36,7 +37,7 @@ from .partitions import (
     weight,
 )
 from .qseries import QSeries
-from .rootsystems import RootSystem, degrees, positive_roots, rho_doubled, weyl_iter
+from .rootsystems import RootSystem, degrees, dominant_dot, positive_roots
 
 _FAMILIES = ("so", "sp")
 
@@ -146,16 +147,6 @@ def _sym_power_weight_system(rs: RootSystem, k: int) -> dict[tuple[int, ...], in
     return out
 
 
-def _strictly_dominant(e: tuple[int, ...], kind: str) -> bool:
-    n = len(e)
-    for i in range(n - 1):
-        if e[i] <= e[i + 1]:
-            return False
-    if kind == "D":
-        return n < 2 or e[-2] > abs(e[-1])
-    return e[-1] > 0
-
-
 _decomp_memo: dict[tuple[str, int, int], dict[tuple[int, ...], int]] = {}
 
 
@@ -169,36 +160,14 @@ def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], in
     hit = _decomp_memo.get(memo_key)
     if hit is not None:
         return hit
-    n = rs.rank
-    rd = rho_doubled(rs)
-    group = list(weyl_iter(rs))
-    # F = char(S^k) * A_rho, an alternating element of the group algebra
-    F: dict[tuple[int, ...], int] = {}
-    weight_system = _sym_power_weight_system(rs, k)
-    for w, sgn in group:
-        moved = w.act(rd)
-        for wt, m in weight_system.items():
-            key = tuple(a + b for a, b in zip(wt, moved))
-            F[key] = F.get(key, 0) + sgn * m
-            if F[key] == 0:
-                del F[key]
+    # Brauer-Klimyk with V(0): each weight wt of multiplicity m adds
+    # sign(w) m V(w o wt); weights with wt + rho on a wall add nothing
     out: dict[tuple[int, ...], int] = {}
-    while F:
-        e = max(F)
-        c = F[e]
-        assert _strictly_dominant(e, rs.kind), (e, rs)
-        assert c > 0, (e, c)
-        lam_d = tuple(a - b for a, b in zip(e, rd))
-        assert all(x % 2 == 0 for x in lam_d)
-        lam = tuple(x // 2 for x in lam_d)
-        while lam and lam[-1] == 0:
-            lam = lam[:-1]
-        out[lam] = out.get(lam, 0) + c
-        for w, sgn in group:
-            key = w.act(e)
-            F[key] = F.get(key, 0) - sgn * c
-            if F[key] == 0:
-                del F[key]
+    for wt, m in _sym_power_weight_system(rs, k).items():
+        sign, lam = dominant_dot(rs, wt)
+        if sign:
+            out[lam] = out.get(lam, 0) + sign * m
+    out = {lam: c for lam, c in out.items() if c}
     _decomp_memo[memo_key] = out
     return out
 

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .branching import harmonic_char_finite
@@ -53,7 +52,7 @@ def _emit_json(command: str, params: dict, results: list[dict], t0: float) -> st
             "meta": {
                 "versions": {"qweyl": __version__},
                 "cache_stats": {"lr_entries": entries, "lr_hits": hits},
-                "wall_ms": int((time.time() - t0) * 1000),
+                "wall_ms": int((time.perf_counter() - t0) * 1000),
             },
         },
         indent=2,
@@ -65,7 +64,7 @@ def _emit_json(command: str, params: dict, results: list[dict], t0: float) -> st
 
 
 def cmd_k(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if (args.family is None) == (args.type is None):
         print("error: give exactly one of --family or --type/--rank", file=sys.stderr)
         return USAGE_ERROR
@@ -79,15 +78,11 @@ def cmd_k(args) -> int:
         if args.rank is None:
             print("error: --type needs --rank", file=sys.stderr)
             return USAGE_ERROR
-        try:
-            rs = RootSystem(args.type, args.rank)
-            if args.method == "recurrence":
-                series = k_recurrence_finite(rs, args.lam, args.mu)
-            else:
-                series = k_direct(rs, args.lam, args.mu)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+        rs = RootSystem(args.type, args.rank)
+        if args.method == "recurrence":
+            series = k_recurrence_finite(rs, args.lam, args.mu)
+        else:
+            series = k_direct(rs, args.lam, args.mu)
         params = {"type": args.type, "rank": args.rank, "method": args.method}
     if args.format == "json":
         params.update({"lambda": list(args.lam), "mu": list(args.mu)})
@@ -100,25 +95,14 @@ def cmd_k(args) -> int:
 # -- table --------------------------------------------------------------
 
 
-def _table_cell(job):
-    family, lam, mu, trunc = job
-    return lam, mu, k_limit(family, lam, mu, trunc).pairs()
-
-
 def cmd_table(args) -> int:
-    t0 = time.time()
-    cells = [
-        (args.family, lam, mu, args.trunc)
+    t0 = time.perf_counter()
+    computed = sorted(
+        (lam, mu, k_limit(args.family, lam, mu, args.trunc).pairs())
         for lam in enumerate_partitions(args.max_weight)
         for mu in enumerate_partitions(weight(lam))
         if dominates(lam, mu) and (weight(lam) - weight(mu)) % 2 == 0
-    ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            computed = list(pool.map(_table_cell, cells))
-    else:
-        computed = [_table_cell(c) for c in cells]
-    computed.sort(key=lambda t: (t[0], t[1]))
+    )
     rows = [(lam, mu, pairs) for lam, mu, pairs in computed if pairs]
     params = {"family": args.family, "max_weight": args.max_weight, "trunc": args.trunc}
     if args.format == "json":
@@ -258,7 +242,7 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     fn, defaults = _SUITES[args.suite]
     for name, val in defaults.items():
         if getattr(args, name, None) is None:
@@ -269,7 +253,7 @@ def cmd_verify(args) -> int:
         "checks": checks,
         "failures": fails,
         "passed": not fails,
-        "wall_ms": int((time.time() - t0) * 1000),
+        "wall_ms": int((time.perf_counter() - t0) * 1000),
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     return OK if not fails else VERIFY_FAILED
@@ -300,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--max-weight", type=int, required=True)
     t.add_argument("--trunc", type=int, required=True)
     t.add_argument("--format", choices=("json", "csv", "latex"), default="json")
-    t.add_argument("--jobs", type=int, default=1)
     t.set_defaults(fn=cmd_table)
 
     v = sub.add_parser("verify", help="run a verification suite")
@@ -325,6 +308,9 @@ def main(argv=None) -> int:
     except CorruptCacheError as exc:
         print(f"corrupt cache: {exc}", file=sys.stderr)
         return CORRUPT_CACHE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

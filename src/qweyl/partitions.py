@@ -11,7 +11,6 @@ __all__ = [
     "weight",
     "padded",
     "conjugate",
-    "drop_first",
     "contains",
     "is_horizontal_strip",
     "dominates",
@@ -52,10 +51,6 @@ def conjugate(p: Partition) -> Partition:
     if not p:
         return ()
     return tuple(sum(1 for x in p if x > i) for i in range(p[0]))
-
-
-def drop_first(p: Partition) -> Partition:
-    return p[1:]
 
 
 def contains(outer: Partition, inner: Partition) -> bool:

@@ -21,11 +21,11 @@ __all__ = [
 
 from dataclasses import dataclass
 
-from .partitions import Partition, check_partition, enumerate_partitions, padded, weight
+from .partitions import Partition, check_partition, padded, weight
 from .pieri import pieri_expand
 from .qkostant import k_direct
 from .qseries import QSeries
-from .rootsystems import RootSystem, rho_doubled, weyl_iter
+from .rootsystems import RootSystem, dominant_dot
 
 _BASE_RANK = 2
 _FAMILIES = ("so", "sp")
@@ -72,8 +72,11 @@ def _q_exponent(family_is_sp: bool, R_s: int, r: int, a: int) -> int:
 # into mirror pairs (last coordinate of either sign), and components that
 # are too long fold onto shorter highest weights (or vanish, in type C).
 # Rather than hard-coding modification rules we compute the finite
-# multiplicities exactly with the Racah-Klimyk formula
-#   mult(lambda) = sum_w sign(w) m_{(l)}(w(lambda+rho) - (gamma+rho)).
+# multiplicities exactly with the Brauer-Klimyk formula
+#   V(gamma) (x) V(l) = sum_beta m_{(l)}(beta) sign(w) V(w o (gamma+beta)),
+# beta running over the weights of V(l) (all have sum|beta_i| <= l) and
+# w moving gamma+beta+rho into the dominant chamber; a weight with
+# gamma+beta+rho on a wall contributes nothing (see dominant_dot).
 
 _row_mult_memo: dict[tuple, int] = {}
 
@@ -93,17 +96,14 @@ def _row_weight_mult(rs: RootSystem, l: int, beta: tuple[int, ...]) -> int:
     return hit
 
 
-def _pieri_candidates(rs: RootSystem, bound: int):
-    """Dominant weights that can occur in V(gamma) (x) V(l), |gamma|+l = bound."""
-    for lam in enumerate_partitions(bound):
-        if len(lam) > rs.rank:
-            continue
-        # type B folding can change |lambda| by an odd amount
-        if rs.kind != "B" and (bound - weight(lam)) % 2:
-            continue
-        yield lam
-        if rs.kind == "D" and len(lam) == rs.rank and lam[-1] > 0:
-            yield lam[:-1] + (-lam[-1],)
+def _l1_ball(n: int, l: int):
+    """Integer vectors of length n with sum |beta_i| <= l."""
+    if n == 0:
+        yield ()
+        return
+    for b in range(-l, l + 1):
+        for rest in _l1_ball(n - 1, l - abs(b)):
+            yield (b,) + rest
 
 
 def _finite_pieri(rs: RootSystem, gamma: Partition, l: int) -> dict[tuple, int]:
@@ -116,25 +116,16 @@ def _finite_pieri(rs: RootSystem, gamma: Partition, l: int) -> dict[tuple, int]:
     if margin >= (1 if rs.kind == "D" else 0):
         # stable regime: no folding, no mirror components
         return pieri_expand(gamma, l)
-    n = rs.rank
-    rd = rho_doubled(rs)
-    gr = tuple(2 * g + r for g, r in zip(padded(gamma, n), rd))
-    group = list(weyl_iter(rs))
+    gamma2 = [2 * g for g in padded(gamma, rs.rank)]
     out: dict[tuple, int] = {}
-    for lam in _pieri_candidates(rs, weight(gamma) + l):
-        lr = tuple(2 * g + r for g, r in zip(lam + (0,) * (n - len(lam)), rd))
-        mult = 0
-        for w, sgn in group:
-            moved = w.act(lr)
-            diff = tuple((a - b) // 2 for a, b in zip(moved, gr))
-            if any((a - b) % 2 for a, b in zip(moved, gr)):
-                continue
-            m = _row_weight_mult(rs, l, diff)
-            if m:
-                mult += sgn * m
-        if mult:
-            out[lam] = mult
-    return out
+    for beta in _l1_ball(rs.rank, l):
+        m = _row_weight_mult(rs, l, beta)
+        if not m:
+            continue
+        sign, lam = dominant_dot(rs, tuple(g + 2 * b for g, b in zip(gamma2, beta)))
+        if sign:
+            out[lam] = out.get(lam, 0) + sign * m
+    return {lam: c for lam, c in out.items() if c}
 
 
 def _sigma(rs: RootSystem, w: tuple) -> tuple:

@@ -1,6 +1,7 @@
 """
-Root-system data for the classical types B_n, C_n, D_n and streaming
-iteration over their Weyl groups of signed permutations.
+Root-system data for the classical types B_n, C_n, D_n, streaming
+iteration over their Weyl groups of signed permutations, and the
+reflection of a weight into the dominant chamber.
 
 All weights are kept in doubled coordinates (the stored vector is 2*beta),
 so the half-integral rho of type B stays exact.  Weights that face the
@@ -16,12 +17,14 @@ __all__ = [
     "weyl_iter",
     "weyl_order",
     "dot_action",
+    "dominant_dot",
     "degrees",
     "exponents",
     "weyl_dim",
 ]
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations
 from typing import Iterator
 
@@ -174,6 +177,48 @@ def dot_action(w: SignedPermutation, lam, rs: RootSystem) -> tuple[int, ...]:
     out = tuple(m - r for m, r in zip(moved, rd))
     assert all(c % 2 == 0 for c in out)
     return tuple(c // 2 for c in out)
+
+
+@cache
+def _rho_doubled_of(rs: RootSystem) -> Weight:
+    return rho_doubled(rs)
+
+
+def dominant_dot(rs: RootSystem, beta: Weight) -> tuple[int, tuple[int, ...]]:
+    """Brauer-Klimyk step: move beta into the dominant chamber by the dot action.
+
+    beta is a full-length weight in doubled coordinates.  Returns
+    (sign(w), w o beta) for the unique w with w(beta + rho) strictly
+    dominant, w o beta in plain coordinates without trailing zeros (in
+    type D the last coordinate may be negative), or (0, ()) when
+    beta + rho lies on a wall.
+
+    Sorting the |v_i| of v = beta + rho descending gives w: two equal
+    |v_i| put v on a wall, as does a zero v_i in types B and C.  The sign
+    is the parity of the sorting permutation times (-1)^(number of
+    negative v_i) in types B and C.  Type D only flips an even number of
+    signs: the sign is the parity alone, and an odd number of negative
+    v_i leaves the last coordinate negative (a zero coordinate sorts
+    last and stays 0).
+    """
+    rd = _rho_doubled_of(rs)
+    v = [b + r for b, r in zip(beta, rd)]
+    mags = [abs(x) for x in v]
+    dom = sorted(mags, reverse=True)
+    if any(a == b for a, b in zip(dom, dom[1:])) or (rs.kind != "D" and dom[-1] == 0):
+        return 0, ()
+    n = len(v)
+    inversions = sum(mags[i] < mags[j] for i in range(n) for j in range(i + 1, n))
+    negatives = sum(x < 0 for x in v)
+    sign = (-1) ** inversions
+    if rs.kind != "D":
+        sign *= (-1) ** negatives
+    elif negatives % 2:
+        dom[-1] = -dom[-1]
+    lam = [(x - r) // 2 for x, r in zip(dom, rd)]
+    while lam and lam[-1] == 0:
+        lam.pop()
+    return sign, tuple(lam)
 
 
 def exponents(rs: RootSystem) -> list[int]:

@@ -100,9 +100,9 @@ def _dim_g(rs):
 
 def test_finite_decomposition_dimension_audit():
     for kind in "BCD":
-        for n in (2, 3):
+        for n in (2, 3, 4, 5):
             rs = RootSystem(kind, n)
-            for k in (1, 2):
+            for k in (0, 1, 2, 3):
                 dec = sym_decomposition_finite(rs, k)
                 total = 0
                 for key, m in dec.items():

@@ -65,6 +65,15 @@ def test_usage_errors(capsys):
     assert run(capsys, "k", "--type", "B", "--lam", "2")[0] == 2
     # partition longer than the rank
     assert run(capsys, "k", "--type", "B", "--rank", "2", "--lam", "1,1,1")[0] == 2
+    # domain errors raised inside the library: one line, no traceback
+    for argv in (
+        ("k", "--family", "so", "--lam", "2", "--trunc", "-1"),
+        ("table", "--family", "so", "--max-weight", "-1", "--trunc", "3"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert "Traceback" not in err
 
 
 def test_table_csv_and_json(capsys):

@@ -16,10 +16,11 @@ from qweyl.recurrence import (
     brylinski_dims,
     build_frame,
     degree_bounds,
+    _finite_pieri,
     k_limit,
     k_recurrence_finite,
 )
-from qweyl.rootsystems import RootSystem
+from qweyl.rootsystems import RootSystem, weyl_dim
 
 
 def test_build_frame_examples():
@@ -65,6 +66,21 @@ def test_recurrence_validates_shapes():
         k_recurrence_finite(RootSystem("C", 2), (1, 1, 1), ())
     with pytest.raises(ValueError):
         k_recurrence_finite(RootSystem("B", 2), (1,), (1, 1, 1))
+
+
+def test_finite_pieri_dimension_audit():
+    # in both regimes, folded and mirrored components included, the
+    # components must add up to dim V(gamma) * dim V((l))
+    for kind in "BCD":
+        for n in (2, 3, 4):
+            rs = RootSystem(kind, n)
+            for gamma in enumerate_partitions(4):
+                if len(gamma) > n:
+                    continue
+                for l in range(4):
+                    dec = _finite_pieri(rs, gamma, l)
+                    total = sum(m * weyl_dim(rs, lam) for lam, m in dec.items())
+                    assert total == weyl_dim(rs, gamma) * weyl_dim(rs, (l,)), (rs, gamma, l)
 
 
 def test_limit_base_cases():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -6,6 +7,7 @@ from qweyl.rootsystems import (
     RootSystem,
     SignedPermutation,
     degrees,
+    dominant_dot,
     dot_action,
     exponents,
     positive_roots,
@@ -77,6 +79,43 @@ def test_dot_action():
     # w o lambda = lambda only for w = id when lambda + rho is regular
     fixed = [w for w, _ in weyl_iter(C2) if dot_action(w, (2, 1), C2) == (2, 1)]
     assert len(fixed) == 1
+
+
+def _strictly_dominant(kind, u):
+    if any(a <= b for a, b in zip(u, u[1:-1])):
+        return False
+    if kind == "D":
+        return u[-2] > abs(u[-1])
+    return u[-2] > u[-1] > 0
+
+
+def test_dominant_dot_against_full_group():
+    # beta + rho over a box: on a wall no w makes w(beta + rho) strictly
+    # dominant; otherwise exactly one does, with the returned sign
+    seen = {"wall": 0, "zero_coordinate_d": 0, "regular": 0}
+    for kind in "BCD":
+        for n, radius in ((2, 3), (3, 3), (4, 2)):
+            rs = RootSystem(kind, n)
+            rd = rho_doubled(rs)
+            group = list(weyl_iter(rs))
+            for x in product(range(-radius, radius + 1), repeat=n):
+                v = tuple(2 * a + r for a, r in zip(x, rd))
+                sign, lam = dominant_dot(rs, tuple(2 * a for a in x))
+                hits = [(w.act(v), s) for w, s in group if _strictly_dominant(kind, w.act(v))]
+                if not sign:
+                    assert hits == [] and lam == (), (rs, x)
+                    seen["wall"] += 1
+                    continue
+                assert len(hits) == 1, (rs, x)
+                u, s = hits[0]
+                want = [(a - r) // 2 for a, r in zip(u, rd)]
+                while want and want[-1] == 0:
+                    want.pop()
+                assert (sign, lam) == (s, tuple(want)), (rs, x)
+                seen["regular"] += 1
+                if kind == "D" and 0 in v:
+                    seen["zero_coordinate_d"] += 1
+    assert all(seen.values()), seen
 
 
 def test_degrees_and_exponents():
