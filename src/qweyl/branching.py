@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 from typing import Optional
 
@@ -147,19 +148,13 @@ def _sym_power_weight_system(rs: RootSystem, k: int) -> dict[tuple[int, ...], in
     return out
 
 
-_decomp_memo: dict[tuple[str, int, int], dict[tuple[int, ...], int]] = {}
-
-
+@cache
 def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], int]:
     """Decompose S^k(g) into irreducibles of g.
 
     Keys are highest weights as integer tuples without trailing zeros;
     in type D the last coordinate may be negative (mirror modules).
     """
-    memo_key = (rs.kind, rs.rank, k)
-    hit = _decomp_memo.get(memo_key)
-    if hit is not None:
-        return hit
     # Brauer-Klimyk with V(0): each weight wt of multiplicity m adds
     # sign(w) m V(w o wt); weights with wt + rho on a wall add nothing
     out: dict[tuple[int, ...], int] = {}
@@ -167,9 +162,7 @@ def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], in
         sign, lam = dominant_dot(rs, wt)
         if sign:
             out[lam] = out.get(lam, 0) + sign * m
-    out = {lam: c for lam, c in out.items() if c}
-    _decomp_memo[memo_key] = out
-    return out
+    return {lam: c for lam, c in out.items() if c}
 
 
 def sym_mult_finite(rs: RootSystem, k: int, lam: Partition) -> int:

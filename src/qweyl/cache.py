@@ -1,6 +1,8 @@
 """
-Persistent on-disk cache for the slow combinatorial memo tables (the
-Littlewood-Richardson coefficients and the stable Pieri numbers).
+Persistent on-disk copy of two memo tables: lr.lr_cache (the
+Littlewood-Richardson coefficients) and pieri._memo (the values of
+stable_pieri; pieri_expand does not fill it).  The other memo tables are
+functools.cache functions, which cannot list or insert entries.
 
 Binary format: magic+version header, one length-prefixed record per
 entry (repr of the key, signed integer value), and a trailing CRC32 of
@@ -26,7 +28,7 @@ class CorruptCacheError(Exception):
 
 
 def _sections() -> list[tuple[str, dict]]:
-    return [("lr", lr.lr_cache.table), ("pieri", pieri._memo)]
+    return [("lr", lr.lr_cache), ("pieri", pieri._memo)]
 
 
 def default_cache_path() -> str | None:

@@ -4,7 +4,8 @@ and run the cross-checking verification suites.
 
 Partitions are passed as comma-separated parts ("2,1"); the empty string
 is the empty partition.  Exit codes: 0 ok, 1 verification failure,
-2 usage error, 3 corrupt cache.
+2 usage error, invalid input or unreadable/unwritable cache file,
+3 corrupt cache.
 """
 
 __all__ = ["main"]
@@ -308,7 +309,7 @@ def main(argv=None) -> int:
     except CorruptCacheError as exc:
         print(f"corrupt cache: {exc}", file=sys.stderr)
         return CORRUPT_CACHE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -17,18 +17,13 @@ __all__ = ["lr_coefficient", "lr_cache_stats", "lr_cache", "LRCache"]
 from .partitions import Partition, check_partition, contains, padded, weight
 
 
-class LRCache:
-    """Memo cache with idempotent inserts and hit statistics."""
+class LRCache(dict):
+    """Memo table {(nu, a, b): c^nu_{a,b}} that counts its hits."""
 
-    def __init__(self):
-        self.table: dict[tuple, int] = {}
-        self.hits = 0
-
-    def stats(self) -> tuple[int, int]:
-        return (len(self.table), self.hits)
+    hits = 0
 
     def clear(self):
-        self.table.clear()
+        super().clear()
         self.hits = 0
 
 
@@ -89,15 +84,15 @@ def lr_coefficient(lam: Partition, gamma: Partition, nu: Partition) -> int:
         return 1 if lam == nu else 0
     a, b = sorted((lam, gamma))
     key = (nu, a, b)
-    cached = lr_cache.table.get(key)
+    cached = lr_cache.get(key)
     if cached is not None:
         lr_cache.hits += 1
         return cached
     val = _count_fillings(nu, lam, gamma)
-    lr_cache.table[key] = val
+    lr_cache[key] = val
     return val
 
 
 def lr_cache_stats() -> tuple[int, int]:
     """(number of cached entries, number of cache hits so far)."""
-    return lr_cache.stats()
+    return (len(lr_cache), lr_cache.hits)

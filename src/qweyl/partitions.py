@@ -27,8 +27,11 @@ Partition = tuple[int, ...]
 
 
 def check_partition(parts) -> Partition:
-    """Normalize an iterable of parts to a valid partition tuple."""
-    p = tuple(int(x) for x in parts if x != 0)
+    """Normalize an iterable of parts to a valid partition tuple: trailing
+    zeros are dropped, an interior zero is an error."""
+    p = tuple(int(x) for x in parts)
+    while p and p[-1] == 0:
+        p = p[:-1]
     for a, b in zip(p, p[1:]):
         if a < b:
             raise ValueError(f"parts not weakly decreasing: {p}")

@@ -58,6 +58,4 @@ def pieri_expand(gamma: Partition, l: int) -> dict[Partition, int]:
         for alpha in remove_horizontal_strips(gamma, removed):
             for lam in add_horizontal_strips(alpha, added):
                 out[lam] = out.get(lam, 0) + 1
-    for key, val in out.items():
-        _memo.setdefault((gamma, l, key), val)
     return out

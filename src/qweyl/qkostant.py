@@ -15,9 +15,11 @@ __all__ = [
     "weight_multiplicity",
 ]
 
+from functools import cache
+
 from .partitions import Partition, padded
 from .qseries import QSeries
-from .rootsystems import RootSystem, dot_action, positive_roots, weyl_iter
+from .rootsystems import RootSystem, check_dominant, dot_action, positive_roots, weyl_iter
 
 
 def _prefix_sums(v: tuple[int, ...]) -> tuple[int, ...]:
@@ -75,15 +77,9 @@ class QKostantTable:
         return acc
 
 
-_tables: dict[tuple[str, int], QKostantTable] = {}
-
-
+@cache
 def _table(rs: RootSystem) -> QKostantTable:
-    key = (rs.kind, rs.rank)
-    tab = _tables.get(key)
-    if tab is None:
-        tab = _tables[key] = QKostantTable(rs)
-    return tab
+    return QKostantTable(rs)
 
 
 def q_kostant(rs: RootSystem, beta, trunc=None) -> QSeries:
@@ -93,12 +89,10 @@ def q_kostant(rs: RootSystem, beta, trunc=None) -> QSeries:
 
 
 def k_direct(rs: RootSystem, lam: Partition, mu: Partition) -> QSeries:
-    """K_{lam,mu}(q) = sum_w sign(w) P_q(w o lam - mu)."""
-    n = rs.rank
-    if len(lam) > n or len(mu) > n:
-        raise ValueError("partition longer than the rank")
+    """K_{lam,mu}(q) = sum_w sign(w) P_q(w o lam - mu), lam and mu dominant."""
+    lam, mu = check_dominant(rs, lam), check_dominant(rs, mu)
     tab = _table(rs)
-    mu_p = padded(tuple(mu), n)
+    mu_p = padded(mu, rs.rank)
     acc: dict[int, int] = {}
     for w, sgn in weyl_iter(rs):
         beta = tuple(a - b for a, b in zip(dot_action(w, lam, rs), mu_p))

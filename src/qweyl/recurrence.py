@@ -20,12 +20,14 @@ __all__ = [
 ]
 
 from dataclasses import dataclass
+from functools import cache
+from math import comb
 
 from .partitions import Partition, check_partition, padded, weight
 from .pieri import pieri_expand
 from .qkostant import k_direct
 from .qseries import QSeries
-from .rootsystems import RootSystem, dominant_dot
+from .rootsystems import RootSystem, check_dominant, dominant_dot
 
 _BASE_RANK = 2
 _FAMILIES = ("so", "sp")
@@ -76,24 +78,23 @@ def _q_exponent(family_is_sp: bool, R_s: int, r: int, a: int) -> int:
 #   V(gamma) (x) V(l) = sum_beta m_{(l)}(beta) sign(w) V(w o (gamma+beta)),
 # beta running over the weights of V(l) (all have sum|beta_i| <= l) and
 # w moving gamma+beta+rho into the dominant chamber; a weight with
-# gamma+beta+rho on a wall contributes nothing (see dominant_dot).
-
-_row_mult_memo: dict[tuple, int] = {}
+# gamma+beta+rho on a wall contributes nothing (see dominant_dot).  The
+# weight multiplicities m_{(l)}(beta) have a closed form (_row_weight_mult),
+# so this engine never calls the k_direct oracle outside its base case.
 
 
 def _row_weight_mult(rs: RootSystem, l: int, beta: tuple[int, ...]) -> int:
-    """Multiplicity of the weight beta in the one-row module V((l))."""
-    dom = tuple(sorted((abs(b) for b in beta), reverse=True))
-    while dom and dom[-1] == 0:
-        dom = dom[:-1]
-    if sum(dom) > l or len(dom) > rs.rank:
+    """Multiplicity of the weight beta in the one-row module V((l)).
+
+    V((l)) is S^l of the vector representation in type C and its harmonic
+    part S^l - S^{l-2} in types B and D; counting the monomials of weight
+    beta, with excess e = l - sum|beta_i|, gives comb(e//2 + k, k).
+    """
+    e = l - sum(abs(b) for b in beta)
+    if e < 0 or (rs.kind != "B" and e % 2):
         return 0
-    key = (rs.kind, rs.rank, l, dom)
-    hit = _row_mult_memo.get(key)
-    if hit is None:
-        row = (l,) if l else ()
-        hit = _row_mult_memo[key] = k_direct(rs, row, dom)(1)
-    return hit
+    k = rs.rank - (2 if rs.kind == "D" else 1)
+    return comb(e // 2 + k, k)
 
 
 def _l1_ball(n: int, l: int):
@@ -136,22 +137,14 @@ def _sigma(rs: RootSystem, w: tuple) -> tuple:
     return w
 
 
-_finite_memo: dict[tuple, QSeries] = {}
-
-
+@cache
 def _k_finite(rs: RootSystem, nu_w: tuple, mu_w: tuple) -> QSeries:
     """Finite recurrence on dominant weights (type-D mirrors allowed)."""
     if nu_w and nu_w[-1] < 0:
         # flip both weights through the diagram automorphism
-        nu_w, mu_w = _sigma(rs, nu_w), _sigma(rs, mu_w)
-    key = (rs.kind, rs.rank, nu_w, mu_w)
-    hit = _finite_memo.get(key)
-    if hit is not None:
-        return hit
+        return _k_finite(rs, _sigma(rs, nu_w), _sigma(rs, mu_w))
     if rs.rank <= _BASE_RANK:
-        val = k_direct(rs, nu_w, mu_w)
-        _finite_memo[key] = val
-        return val
+        return k_direct(rs, nu_w, mu_w)
     sub_rs = RootSystem(rs.kind, rs.rank - 1)
     mu_flat = mu_w[1:]
     is_sp = rs.kind == "C"
@@ -168,21 +161,12 @@ def _k_finite(rs: RootSystem, nu_w: tuple, mu_w: tuple) -> QSeries:
                 sub = _k_finite(sub_rs, lam, mu_flat)
                 if sub:
                     total = total + sub.shift(shift).scale(sign * pc)
-    _finite_memo[key] = total
     return total
 
 
 def k_recurrence_finite(rs: RootSystem, nu: Partition, mu: Partition) -> QSeries:
     """K_{nu,mu}(q) at finite rank via the rank-lowering recurrence."""
-    nu, mu = check_partition(nu), check_partition(mu)
-    if rs.rank < len(nu):
-        raise ValueError(f"rank {rs.rank} below len(nu)={len(nu)}: out of regime")
-    if len(mu) > rs.rank:
-        raise ValueError("mu longer than the rank")
-    return _k_finite(rs, nu, mu)
-
-
-_limit_memo: dict[tuple, QSeries] = {}
+    return _k_finite(rs, check_dominant(rs, nu), check_dominant(rs, mu))
 
 
 def k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
@@ -191,11 +175,11 @@ def k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
         raise ValueError(f"unknown family {family!r}")
     if D < 0:
         raise ValueError("D must be >= 0")
-    nu, mu = check_partition(nu), check_partition(mu)
-    key = (family, nu, mu, D)
-    hit = _limit_memo.get(key)
-    if hit is not None:
-        return hit
+    return _k_limit(family, check_partition(nu), check_partition(mu), D)
+
+
+@cache
+def _k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
     if not nu and not mu:
         return QSeries.one(D)
     is_sp = family == "sp"
@@ -221,7 +205,6 @@ def k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
                     total = total + sub.shift(shift).scale(sign * pc)
     if not mu:
         total = total.div_one_minus_qm(nu[0], D)
-    _limit_memo[key] = total
     return total
 
 

@@ -10,6 +10,7 @@ caller (partitions, w o lambda - mu) are converted back to plain integers.
 
 __all__ = [
     "RootSystem",
+    "check_dominant",
     "SignedPermutation",
     "positive_roots",
     "rho",
@@ -28,7 +29,7 @@ from functools import cache
 from itertools import permutations
 from typing import Iterator
 
-from .partitions import Partition, padded
+from .partitions import check_partition, padded
 
 Weight = tuple[int, ...]  # doubled coordinates
 
@@ -56,6 +57,20 @@ class RootSystem:
     def family(self) -> str:
         """Stable-limit family: so for B/D, sp for C."""
         return "sp" if self.kind == "C" else "so"
+
+
+def check_dominant(rs: RootSystem, w) -> tuple[int, ...]:
+    """w as a dominant weight of rs: a partition of length <= rank or, in
+    type D, a mirror weight (full length, w_n < 0, |w_n| <= w_{n-1})."""
+    w = tuple(w)
+    if rs.kind == "D" and len(w) == rs.rank and w[-1] < 0:
+        if w[-1] + w[-2] < 0:
+            raise ValueError(f"{w} is not a dominant weight of {rs}")
+        return check_partition(w[:-1]) + w[-1:]
+    p = check_partition(w)
+    if len(p) > rs.rank:
+        raise ValueError(f"partition {p} longer than the rank of {rs}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -124,6 +139,7 @@ def positive_roots(rs: RootSystem) -> list[Weight]:
     return roots
 
 
+@cache
 def rho_doubled(rs: RootSystem) -> Weight:
     total = [0] * rs.rank
     for r in positive_roots(rs):
@@ -134,9 +150,10 @@ def rho_doubled(rs: RootSystem) -> Weight:
 
 
 def rho(rs: RootSystem) -> tuple:
-    """Half-sum of positive roots in plain coordinates (Fractions-free:
-    returns ints when exact, otherwise half-integers as floats are avoided
-    by exposing rho_doubled)."""
+    """Half-sum of positive roots in plain integer coordinates.
+
+    Raises ValueError when rho is half-integral (type B); use rho_doubled
+    there."""
     d = rho_doubled(rs)
     if all(c % 2 == 0 for c in d):
         return tuple(c // 2 for c in d)
@@ -179,11 +196,6 @@ def dot_action(w: SignedPermutation, lam, rs: RootSystem) -> tuple[int, ...]:
     return tuple(c // 2 for c in out)
 
 
-@cache
-def _rho_doubled_of(rs: RootSystem) -> Weight:
-    return rho_doubled(rs)
-
-
 def dominant_dot(rs: RootSystem, beta: Weight) -> tuple[int, tuple[int, ...]]:
     """Brauer-Klimyk step: move beta into the dominant chamber by the dot action.
 
@@ -201,7 +213,7 @@ def dominant_dot(rs: RootSystem, beta: Weight) -> tuple[int, tuple[int, ...]]:
     v_i leaves the last coordinate negative (a zero coordinate sorts
     last and stays 0).
     """
-    rd = _rho_doubled_of(rs)
+    rd = rho_doubled(rs)
     v = [b + r for b, r in zip(beta, rd)]
     mags = [abs(x) for x in v]
     dom = sorted(mags, reverse=True)

@@ -76,6 +76,28 @@ def test_usage_errors(capsys):
         assert "Traceback" not in err
 
 
+def test_cache_path_errors_exit_2(tmp_path, capsys):
+    # the result is printed; saving into a missing directory then fails
+    code = main(["--cache", str(tmp_path / "no" / "c.bin"),
+                 "k", "--family", "so", "--lam", "2", "--trunc", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out.strip() == "q^2"
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    # a directory in place of the cache file fails on loading
+    code = main(["--cache", str(tmp_path), "k", "--type", "C", "--rank", "2", "--lam", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
+def test_interior_zero_partition_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["k", "--type", "B", "--rank", "3", "--lam", "2,0,1"])
+    assert exc.value.code == 2
+    assert "not weakly decreasing" in capsys.readouterr().err
+
+
 def test_table_csv_and_json(capsys):
     code, out, _ = run(
         capsys, "table", "--family", "so", "--max-weight", "2", "--trunc", "3",
@@ -128,18 +150,18 @@ def test_cache_round_trip(tmp_path):
 
     lr_coefficient((2, 1), (2, 1), (3, 2, 1))
     stable_pieri((1,), 1, (2,))
-    saved_lr = dict(lr.lr_cache.table)
+    saved_lr = dict(lr.lr_cache)
     saved_pieri = dict(pieri._memo)
     cache_save(path)
 
     lr.lr_cache.clear()
     pieri._memo.clear()
     cache_load(path)
-    assert lr.lr_cache.table == saved_lr
+    assert lr.lr_cache == saved_lr
     assert pieri._memo == saved_pieri
     # loading a second time is idempotent
     cache_load(path)
-    assert lr.lr_cache.table == saved_lr
+    assert lr.lr_cache == saved_lr
 
 
 def test_cache_missing_is_cold_start(tmp_path):

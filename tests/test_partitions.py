@@ -30,6 +30,12 @@ def test_check_partition_normalizes_and_rejects():
         check_partition((2, -1))
 
 
+def test_check_partition_rejects_interior_zero():
+    assert check_partition((2, 1, 0)) == (2, 1)
+    with pytest.raises(ValueError):
+        check_partition((2, 0, 1))
+
+
 def test_padded():
     assert padded((2, 1), 4) == (2, 1, 0, 0)
     with pytest.raises(ValueError):

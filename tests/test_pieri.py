@@ -11,6 +11,7 @@ from qweyl.partitions import (
     is_horizontal_strip,
     weight,
 )
+from qweyl import pieri
 from qweyl.pieri import pieri_expand, stable_pieri
 
 
@@ -70,3 +71,10 @@ def test_expand_consistent_with_pointwise():
             for lam, m in expansion.items():
                 assert m == stable_pieri(gamma, l, lam)
                 assert (weight(gamma) + l - weight(lam)) % 2 == 0
+
+
+def test_expand_leaves_pointwise_memo_empty():
+    # pieri._memo is what qweyl.cache persists; only stable_pieri fills it
+    pieri._memo.clear()
+    pieri_expand((3, 1), 3)
+    assert pieri._memo == {}

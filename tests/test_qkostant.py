@@ -75,6 +75,20 @@ def test_k_direct_rejects_long_partitions():
         k_direct(RootSystem("C", 2), (1, 1, 1), ())
 
 
+def test_k_direct_rejects_non_dominant_weights():
+    B3 = RootSystem("B", 3)
+    for lam, mu in (((1, 2), ()), ((2, -1), ()), ((2, 0, 1), ()), ((2,), (0, 1))):
+        with pytest.raises(ValueError):
+            k_direct(B3, lam, mu)
+    # type D mirror weights stay valid: full length, |w_n| <= w_{n-1}
+    D2 = RootSystem("D", 2)
+    assert k_direct(D2, (1, -1), (1, -1)) == QSeries.one()
+    assert k_direct(D2, (1, 1), (1, -1)) == QSeries.zero()
+    for bad in ((1, -2), (1, 0, -1)):
+        with pytest.raises(ValueError):
+            k_direct(D2, bad, ())
+
+
 def test_nonnegativity_and_vanishing():
     for kind in "BCD":
         for n in (2, 3):

@@ -8,8 +8,8 @@ one-column shapes.
 
 import pytest
 
-from qweyl.branching import harmonic_coeff_stable
-from qweyl.partitions import dominates, enumerate_partitions, weight
+from qweyl.branching import harmonic_coeff_stable, sym_decomposition_finite
+from qweyl.partitions import dominates, enumerate_partitions, padded, weight
 from qweyl.qkostant import k_direct, weight_multiplicity
 from qweyl.qseries import QSeries
 from qweyl.recurrence import (
@@ -17,6 +17,9 @@ from qweyl.recurrence import (
     build_frame,
     degree_bounds,
     _finite_pieri,
+    _k_finite,
+    _k_limit,
+    _row_weight_mult,
     k_limit,
     k_recurrence_finite,
 )
@@ -68,6 +71,16 @@ def test_recurrence_validates_shapes():
         k_recurrence_finite(RootSystem("B", 2), (1,), (1, 1, 1))
 
 
+def test_recurrence_accepts_type_d_mirror_weights():
+    for n in (3, 4):
+        rs = RootSystem("D", n)
+        weights = [p for p in enumerate_partitions(4) if len(p) <= n]
+        weights += [p[:-1] + (-p[-1],) for p in weights if len(p) == n]
+        for nu in weights:
+            for mu in weights:
+                assert k_recurrence_finite(rs, nu, mu) == k_direct(rs, nu, mu), (rs, nu, mu)
+
+
 def test_finite_pieri_dimension_audit():
     # in both regimes, folded and mirrored components included, the
     # components must add up to dim V(gamma) * dim V((l))
@@ -81,6 +94,42 @@ def test_finite_pieri_dimension_audit():
                     dec = _finite_pieri(rs, gamma, l)
                     total = sum(m * weyl_dim(rs, lam) for lam, m in dec.items())
                     assert total == weyl_dim(rs, gamma) * weyl_dim(rs, (l,)), (rs, gamma, l)
+
+
+def test_row_weight_mult_matches_direct_sum():
+    # closed form against dim V((l))_mu from the alternating sum, at signed
+    # and permuted weights beta of the dominant mu (and |mu| = l+1 for zeros)
+    cases = 0
+    for kind in "BCD":
+        for n in (2, 3, 4):
+            rs = RootSystem(kind, n)
+            for l in range(6):
+                row = (l,) if l else ()
+                for mu in enumerate_partitions(l + 1):
+                    if len(mu) > n:
+                        continue
+                    want = weight_multiplicity(rs, row, mu)
+                    mu_p = padded(mu, n)
+                    for beta in (
+                        tuple(-x if i % 2 else x for i, x in enumerate(reversed(mu_p))),
+                        tuple(-x for x in mu_p[1:] + mu_p[:1]),
+                    ):
+                        cases += 1
+                        assert _row_weight_mult(rs, l, beta) == want, (rs, l, beta)
+    assert cases > 300
+
+
+def test_memo_hits_return_same_object():
+    calls = (
+        (_k_limit, lambda: k_limit("sp", (3, 1), (1,), 5)),
+        (sym_decomposition_finite, lambda: sym_decomposition_finite(RootSystem("D", 3), 2)),
+        (_k_finite, lambda: k_recurrence_finite(RootSystem("B", 4), (2, 1), (1,))),
+    )
+    for memo, call in calls:
+        first = call()
+        hits = memo.cache_info().hits
+        assert call() is first
+        assert memo.cache_info().hits > hits, memo
 
 
 def test_limit_base_cases():
