@@ -1,8 +1,15 @@
 """
-Persistent on-disk copy of two memo tables: lr.lr_cache (the
-Littlewood-Richardson coefficients) and pieri._memo (the values of
-stable_pieri; pieri_expand does not fill it).  The other memo tables are
-functools.cache functions, which cannot list or insert entries.
+Persistent on-disk copy of two memo tables, and the statistics of every
+memo table in the process.
+
+Two tables are dicts (lr.MemoDict) so that they can be persisted:
+lr.lr_cache (the Littlewood-Richardson coefficients) and pieri._memo
+(the values of stable_pieri; pieri_expand does not fill it).  The other
+process-wide tables are functools.cache functions, which cannot list or
+insert entries: rootsystems.rho_doubled, qkostant._table,
+branching.sym_decomposition_finite, recurrence._k_finite,
+recurrence._k_limit and pieri._pieri_support (the memo of pieri_expand).
+table_stats() reports hits, misses and size for all eight.
 
 Binary format: magic+version header, one length-prefixed record per
 entry (repr of the key, signed integer value), and a trailing CRC32 of
@@ -10,7 +17,7 @@ everything before it.  A missing file is a cold start; anything
 malformed raises CorruptCacheError.
 """
 
-__all__ = ["cache_save", "cache_load", "CorruptCacheError", "DEFAULT_CACHE_ENV"]
+__all__ = ["cache_save", "cache_load", "table_stats", "CorruptCacheError", "DEFAULT_CACHE_ENV"]
 
 import ast
 import os
@@ -18,6 +25,10 @@ import struct
 import zlib
 
 from . import lr, pieri
+from .branching import sym_decomposition_finite
+from .qkostant import _table
+from .recurrence import _k_finite, _k_limit
+from .rootsystems import rho_doubled
 
 MAGIC = b"QWEYLC01"
 DEFAULT_CACHE_ENV = "QWEYL_CACHE"
@@ -29,6 +40,24 @@ class CorruptCacheError(Exception):
 
 def _sections() -> list[tuple[str, dict]]:
     return [("lr", lr.lr_cache), ("pieri", pieri._memo)]
+
+
+# held here, so that a wrapper bound over a module attribute later does
+# not hide cache_info()
+_CACHED = (rho_doubled, _table, sym_decomposition_finite, _k_finite, _k_limit,
+           pieri._pieri_support)
+
+
+def table_stats() -> dict[str, dict[str, int]]:
+    """{table: {"hits", "misses", "size"}} for every process-wide memo table."""
+    out = {}
+    for fn in _CACHED:
+        info = fn.cache_info()
+        name = f"{fn.__module__.removeprefix('qweyl.')}.{fn.__qualname__}"
+        out[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
+    for name, table in (("lr.lr_cache", lr.lr_cache), ("pieri._memo", pieri._memo)):
+        out[name] = {"hits": table.hits, "misses": table.misses, "size": len(table)}
+    return out
 
 
 def default_cache_path() -> str | None:

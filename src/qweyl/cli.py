@@ -17,7 +17,7 @@ import time
 
 from . import __version__
 from .branching import harmonic_char_finite
-from .cache import CorruptCacheError, cache_load, cache_save, default_cache_path
+from .cache import CorruptCacheError, cache_load, cache_save, default_cache_path, table_stats
 from .lr import lr_cache_stats
 from .partitions import Partition, check_partition, conjugate, dominates, enumerate_partitions, weight
 from .qkostant import k_direct
@@ -52,7 +52,8 @@ def _emit_json(command: str, params: dict, results: list[dict], t0: float) -> st
             "results": results,
             "meta": {
                 "versions": {"qweyl": __version__},
-                "cache_stats": {"lr_entries": entries, "lr_hits": hits},
+                "cache_stats": {"lr_entries": entries, "lr_hits": hits,
+                                "tables": table_stats()},
                 "wall_ms": int((time.perf_counter() - t0) * 1000),
             },
         },

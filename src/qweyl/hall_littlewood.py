@@ -122,11 +122,16 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
         for lam in solve_order:
             if lam == mu:
                 continue
-            acc = QSeries.zero(D)
-            for kappa, kval in rows.get(lam, ()):
-                sub = inv.get((kappa, mu))
-                if sub:
-                    acc = acc + kval * sub
-            if acc:
-                inv[(lam, mu)] = -acc
+            # -sum K[lam,kappa] inv[kappa,mu], one q^d term of K at a time
+            entry = QSeries.combination(
+                (
+                    (-c, d, inv[(kappa, mu)])
+                    for kappa, kval in rows.get(lam, ())
+                    if (kappa, mu) in inv
+                    for d, c in kval.coeffs.items()
+                ),
+                D,
+            )
+            if entry:
+                inv[(lam, mu)] = entry
     return TruncatedKMatrix(family, weight_bound, D, index, inv)

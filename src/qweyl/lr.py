@@ -12,22 +12,22 @@ with the symmetry c^nu_{lambda,gamma} = c^nu_{gamma,lambda}; the cache
 can be persisted through qweyl.cache.
 """
 
-__all__ = ["lr_coefficient", "lr_cache_stats", "lr_cache", "LRCache"]
+__all__ = ["lr_coefficient", "lr_cache_stats", "lr_cache", "MemoDict"]
 
 from .partitions import Partition, check_partition, contains, padded, weight
 
 
-class LRCache(dict):
-    """Memo table {(nu, a, b): c^nu_{a,b}} that counts its hits."""
+class MemoDict(dict):
+    """A dict memo table with hit and miss counters, kept by its callers."""
 
-    hits = 0
+    hits = misses = 0
 
     def clear(self):
         super().clear()
-        self.hits = 0
+        self.hits = self.misses = 0
 
 
-lr_cache = LRCache()
+lr_cache = MemoDict()  # {(nu, a, b): c^nu_{a,b}}
 
 
 def _count_fillings(nu: Partition, lam: Partition, gamma: Partition) -> int:
@@ -88,6 +88,7 @@ def lr_coefficient(lam: Partition, gamma: Partition, nu: Partition) -> int:
     if cached is not None:
         lr_cache.hits += 1
         return cached
+    lr_cache.misses += 1
     val = _count_fillings(nu, lam, gamma)
     lr_cache[key] = val
     return val

@@ -85,16 +85,24 @@ def dominates(p: Partition, q: Partition) -> bool:
     return True
 
 
+def _check_strip_input(p, size: int) -> Partition:
+    if size < 0:
+        raise ValueError(f"strip size must be >= 0, got {size}")
+    return check_partition(p)
+
+
 def add_horizontal_strips(p: Partition, size: int) -> Iterator[Partition]:
     """All partitions obtained from p by adding a horizontal strip of `size` boxes."""
+    p = _check_strip_input(p, size)
 
     def rec(i: int, prev_cap: int, left: int, acc: list[int]):
         if i == len(p):
-            # one optional new row of length <= min(prev_cap, left)
+            # one optional new row of length <= min(prev_cap, left); every
+            # other row keeps a part >= p[i] > 0, so no zero is ever output
             if left == 0:
-                yield check_partition(acc)
+                yield tuple(acc)
             elif left <= prev_cap:
-                yield check_partition(acc + [left])
+                yield tuple(acc) + (left,)
             return
         base = p[i]
         hi = min(prev_cap, base + left)
@@ -103,16 +111,18 @@ def add_horizontal_strips(p: Partition, size: int) -> Iterator[Partition]:
             yield from rec(i + 1, base, left - (new - base), acc)
             acc.pop()
 
-    yield from rec(0, p[0] + size if p else size, size, [])
+    return rec(0, p[0] + size if p else size, size, [])
 
 
 def remove_horizontal_strips(p: Partition, size: int) -> Iterator[Partition]:
     """All partitions obtained from p by removing a horizontal strip of `size` boxes."""
+    p = _check_strip_input(p, size)
 
     def rec(i: int, left: int, acc: list[int]):
         if i == len(p):
             if left == 0:
-                yield check_partition(acc)
+                # only the last row can shrink to zero
+                yield tuple(acc[:-1]) if acc and not acc[-1] else tuple(acc)
             return
         below = p[i + 1] if i + 1 < len(p) else 0
         # row i shrinks to new in [below, p[i]] so that p/result interleaves
@@ -123,7 +133,7 @@ def remove_horizontal_strips(p: Partition, size: int) -> Iterator[Partition]:
             yield from rec(i + 1, left - (p[i] - new), acc)
             acc.pop()
 
-    yield from rec(0, size, [])
+    return rec(0, size, [])
 
 
 def _partitions_of(k: int, max_part: Optional[int] = None) -> Iterator[Partition]:

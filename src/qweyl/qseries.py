@@ -51,6 +51,22 @@ class QSeries:
     def monomial(deg: int, coeff: int = 1, trunc: Optional[int] = None) -> "QSeries":
         return QSeries({deg: coeff}, trunc)
 
+    @staticmethod
+    def combination(terms, trunc: Optional[int] = None) -> "QSeries":
+        """sum of factor * q^shift * series over (factor, shift, series) triples.
+
+        Truncates at the smallest of `trunc` and the series' bounds, like a
+        fold of shift, scale and + would, but builds a single QSeries.
+        """
+        t = trunc
+        cc: dict[int, int] = {}
+        for factor, shift, series in terms:
+            t = _min_trunc(t, series.trunc)
+            for d, c in series.coeffs.items():
+                d += shift
+                cc[d] = cc.get(d, 0) + factor * c
+        return QSeries(cc, t)
+
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:

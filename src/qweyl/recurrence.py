@@ -45,7 +45,11 @@ class RecurrenceFrame:
 
 
 def build_frame(nu: Partition, mu: Partition) -> RecurrenceFrame:
-    nu, mu = check_partition(nu), check_partition(mu)
+    return _frame(check_partition(nu), check_partition(mu))
+
+
+def _frame(nu: Partition, mu: Partition) -> RecurrenceFrame:
+    """build_frame on partitions that are already valid."""
     mu1 = mu[0] if mu else 0
     R: list[int] = []
     gammas: list[Partition] = []
@@ -148,8 +152,8 @@ def _k_finite(rs: RootSystem, nu_w: tuple, mu_w: tuple) -> QSeries:
     sub_rs = RootSystem(rs.kind, rs.rank - 1)
     mu_flat = mu_w[1:]
     is_sp = rs.kind == "C"
-    frame = build_frame(nu_w, (mu_w[0],) if mu_w else ())
-    total = QSeries.zero()
+    frame = _frame(nu_w, (mu_w[0],) if mu_w else ())
+    terms = []  # (factor, shift, K_{lam, mu-flat}) of the recurrence step
     for s in range(1, frame.p + 1):
         R_s = frame.R[s - 1]
         gam = frame.gammas[s - 1]
@@ -158,10 +162,8 @@ def _k_finite(rs: RootSystem, nu_w: tuple, mu_w: tuple) -> QSeries:
             r = R_s - 2 * a
             shift = _q_exponent(is_sp, R_s, r, a)
             for lam, pc in _finite_pieri(sub_rs, gam, r).items():
-                sub = _k_finite(sub_rs, lam, mu_flat)
-                if sub:
-                    total = total + sub.shift(shift).scale(sign * pc)
-    return total
+                terms.append((sign * pc, shift, _k_finite(sub_rs, lam, mu_flat)))
+    return QSeries.combination(terms)
 
 
 def k_recurrence_finite(rs: RootSystem, nu: Partition, mu: Partition) -> QSeries:
@@ -180,13 +182,14 @@ def k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
 
 @cache
 def _k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
+    """k_limit on valid partitions; the recursion stays inside this body."""
     if not nu and not mu:
         return QSeries.one(D)
     is_sp = family == "sp"
     mu_flat = mu[1:]
-    frame = build_frame(nu, mu)
+    frame = _frame(nu, mu)
     measure = weight(nu) + weight(nu[1:])
-    total = QSeries.zero(D)
+    terms = []  # (factor, shift, K_{lam, mu-flat}) of the recurrence step
     for s in range(1, frame.p + 1):
         R_s = frame.R[s - 1]
         gam = frame.gammas[s - 1]
@@ -200,9 +203,8 @@ def _k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
                 if not mu and s == 1 and a == 0 and lam == nu:
                     continue  # the self-term, moved to the left-hand side
                 assert weight(lam) + weight(lam[1:]) < measure, (nu, mu, lam)
-                sub = k_limit(family, lam, mu_flat, D)
-                if sub:
-                    total = total + sub.shift(shift).scale(sign * pc)
+                terms.append((sign * pc, shift, _k_limit(family, lam, mu_flat, D)))
+    total = QSeries.combination(terms, D)
     if not mu:
         total = total.div_one_minus_qm(nu[0], D)
     return total

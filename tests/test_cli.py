@@ -52,6 +52,24 @@ def test_k_stable_json(capsys):
     assert set(doc["meta"]) == {"versions", "cache_stats", "wall_ms"}
 
 
+def test_json_meta_reports_every_memo_table(capsys):
+    code, out, _ = run(
+        capsys, "k", "--family", "so", "--lam", "2", "--trunc", "4", "--format", "json",
+    )
+    assert code == 0
+    stats = json.loads(out)["meta"]["cache_stats"]
+    assert {"lr_entries", "lr_hits"} <= set(stats)
+    tables = stats["tables"]
+    assert set(tables) == {
+        "rootsystems.rho_doubled", "qkostant._table", "branching.sym_decomposition_finite",
+        "recurrence._k_finite", "recurrence._k_limit", "pieri._pieri_support",
+        "lr.lr_cache", "pieri._memo",
+    }
+    assert all(set(t) == {"hits", "misses", "size"} for t in tables.values())
+    assert tables["recurrence._k_limit"]["size"] > 0
+    assert tables["pieri._pieri_support"]["size"] > 0
+
+
 def test_usage_errors(capsys):
     # neither and both of --family / --type
     assert run(capsys, "k", "--lam", "2")[0] == 2

@@ -42,6 +42,21 @@ def test_inverse_identity_on_closed_rows():
                 assert pm.matmul(km).entry(lam, lam) == QSeries.one(D)
 
 
+def test_inverse_identity_on_benchmark_window():
+    # the window of the benchmark's p_basis_matrix queries: bound 10, D = 4
+    bound, D = 10, 4
+    for family in ("so", "sp"):
+        km = k_matrix(family, bound, D)
+        pm = p_basis_matrix(family, bound, D)
+        closed = [lam for lam in km.index if weight(lam) + 2 * D <= bound]
+        assert closed
+        for prod in (pm.matmul(km), km.matmul(pm)):
+            for lam in closed:
+                for mu in km.index:
+                    expect = QSeries.one(D) if lam == mu else QSeries.zero(D)
+                    assert prod.entry(lam, mu) == expect, (family, lam, mu)
+
+
 def test_empty_column_duality():
     # the mu = () column of one family matches the conjugate-indexed
     # column of the other

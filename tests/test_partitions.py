@@ -1,3 +1,5 @@
+import re
+
 from hypothesis import given, strategies as st
 
 import pytest
@@ -76,6 +78,16 @@ def test_add_remove_strips_roundtrip():
             assert is_horizontal_strip(base, bigger)
             assert weight(bigger) == weight(base) + size
             assert base in set(remove_horizontal_strips(bigger, size))
+
+
+def test_strip_enumerators_reject_invalid_shapes():
+    # unsorted, negative, interior zero: the error names the input itself
+    for bad in [(1, 2), (2, -1), (-1,), (2, 0, 1)]:
+        for strips in (add_horizontal_strips, remove_horizontal_strips):
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                strips(bad, 1)
+    with pytest.raises(ValueError):
+        add_horizontal_strips((2,), -1)
 
 
 @given(partitions, st.integers(0, 4))

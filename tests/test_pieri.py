@@ -78,3 +78,12 @@ def test_expand_leaves_pointwise_memo_empty():
     pieri._memo.clear()
     pieri_expand((3, 1), 3)
     assert pieri._memo == {}
+
+
+def test_expand_result_cannot_corrupt_the_memo():
+    first = pieri_expand((2, 1), 2)
+    expected = dict(first)
+    first[(9,)] = 5
+    first.pop((2, 1))
+    assert pieri_expand((2, 1), 2) == expected
+    assert pieri_expand((2, 1), 2) is not pieri_expand((2, 1), 2)

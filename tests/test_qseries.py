@@ -5,6 +5,8 @@ from qweyl.qseries import QSeries
 
 coeff_dicts = st.dictionaries(st.integers(0, 12), st.integers(-9, 9), max_size=6)
 series = coeff_dicts.map(QSeries)
+truncs = st.none() | st.integers(0, 12)
+truncated_series = st.builds(QSeries, coeff_dicts, truncs)
 
 
 def test_construction_drops_zeros():
@@ -77,3 +79,18 @@ def test_division_inverts_multiplication(a, m, t):
     geom = a.div_one_minus_qm(m, trunc=t)
     back = geom * QSeries({0: 1, m: -1})
     assert back.coeffs == a.truncated(t).coeffs
+
+
+@given(st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 4), truncated_series),
+                max_size=5), truncs)
+def test_combination_matches_naive_fold(terms, trunc):
+    # the fold starts at zero(trunc), so the smallest bound of all wins
+    naive = QSeries.zero(trunc)
+    for factor, shift, s in terms:
+        naive = naive + s.shift(shift).scale(factor)
+    assert QSeries.combination(terms, trunc) == naive
+
+
+def test_combination_of_no_terms_is_zero():
+    assert QSeries.combination([], 4) == QSeries.zero(4)
+    assert QSeries.combination(iter(()), None) == QSeries.zero()

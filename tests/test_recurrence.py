@@ -10,6 +10,7 @@ import pytest
 
 from qweyl.branching import harmonic_coeff_stable, sym_decomposition_finite
 from qweyl.partitions import dominates, enumerate_partitions, padded, weight
+from qweyl.pieri import _pieri_support, pieri_expand
 from qweyl.qkostant import k_direct, weight_multiplicity
 from qweyl.qseries import QSeries
 from qweyl.recurrence import (
@@ -130,6 +131,13 @@ def test_memo_hits_return_same_object():
         hits = memo.cache_info().hits
         assert call() is first
         assert memo.cache_info().hits > hits, memo
+
+
+def test_pieri_memo_hits():
+    pieri_expand((3, 1), 2)
+    hits = _pieri_support.cache_info().hits
+    pieri_expand([3, 1, 0], 2)  # normalised to the same key
+    assert _pieri_support.cache_info().hits == hits + 1
 
 
 def test_limit_base_cases():
