@@ -8,6 +8,7 @@ empty tuple.  Padding to a fixed length is done on demand with `padded`.
 __all__ = [
     "Partition",
     "check_partition",
+    "integral_parts",
     "weight",
     "padded",
     "conjugate",
@@ -26,10 +27,24 @@ from typing import Iterator, Optional
 Partition = tuple[int, ...]
 
 
+def integral_parts(parts) -> tuple[int, ...]:
+    """parts as a tuple of ints; a part that is not an integer (1.5, "2")
+    is an error, one that equals an integer (2.0) is converted."""
+    p = tuple(parts)
+    for x in p:
+        if type(x) is not int:
+            ints = tuple(map(int, p))
+            if ints != p:
+                raise ValueError(f"non-integral part in {p}")
+            return ints
+    return p
+
+
 def check_partition(parts) -> Partition:
     """Normalize an iterable of parts to a valid partition tuple: trailing
-    zeros are dropped, an interior zero is an error."""
-    p = tuple(int(x) for x in parts)
+    zeros are dropped, an interior zero or a non-integral part is an
+    error."""
+    p = integral_parts(parts)
     while p and p[-1] == 0:
         p = p[:-1]
     for a, b in zip(p, p[1:]):

@@ -1,6 +1,7 @@
 """
 Root-system data for the classical types B_n, C_n, D_n, streaming
-iteration over their Weyl groups of signed permutations, and the
+iteration over their Weyl groups of signed permutations (whole, or pruned
+to the terms of a Kostant alternating sum that can be nonzero), and the
 reflection of a weight into the dominant chamber.
 
 All weights are kept in doubled coordinates (the stored vector is 2*beta),
@@ -26,10 +27,9 @@ __all__ = [
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import permutations
 from typing import Iterator
 
-from .partitions import check_partition, padded
+from .partitions import check_partition, integral_parts, padded
 
 Weight = tuple[int, ...]  # doubled coordinates
 
@@ -62,7 +62,7 @@ class RootSystem:
 def check_dominant(rs: RootSystem, w) -> tuple[int, ...]:
     """w as a dominant weight of rs: a partition of length <= rank or, in
     type D, a mirror weight (full length, w_n < 0, |w_n| <= w_{n-1})."""
-    w = tuple(w)
+    w = integral_parts(w)
     if rs.kind == "D" and len(w) == rs.rank and w[-1] < 0:
         if w[-1] + w[-2] < 0:
             raise ValueError(f"{w} is not a dominant weight of {rs}")
@@ -168,20 +168,56 @@ def weyl_order(rs: RootSystem) -> int:
     return fact * 2 ** (n - 1 if rs.kind == "D" else n)
 
 
-def weyl_iter(rs: RootSystem) -> Iterator[tuple[SignedPermutation, int]]:
-    """Stream (w, (-1)^length(w)) over the whole Weyl group."""
+def weyl_iter(rs: RootSystem, lam=None, mu=()) -> Iterator[tuple[SignedPermutation, int]]:
+    """Stream (w, (-1)^length(w)) over the Weyl group.
+
+    w is built one output coordinate at a time: position i gets +-v_j for
+    an unused j.  Type D flips an even number of signs, so the sign at the
+    last position is forced.  Called with rs alone, this is the whole group.
+
+    With weights lam and mu (plain coordinates), v = lam + rho, and a
+    prefix is abandoned as soon as a prefix sum of w(lam + rho) - (mu + rho)
+    goes negative: w o lam - mu then lies outside the positive cone, where
+    P_q vanishes.  What is left covers the Weyl alternation set, the w with
+    P_q(w o lam - mu) != 0.  When lam + rho has a zero coordinate (type D,
+    lam_n = 0), its two signs are two distinct elements, and both are
+    yielded.
+    """
     n = rs.rank
-    even_only = rs.kind == "D"
-    for perm in permutations(range(n)):
-        pp = _perm_parity(perm)
-        for mask in range(1 << n):
-            bits = mask.bit_count()
-            if even_only and bits % 2:
+    even_flips = rs.kind == "D"
+    if lam is None:
+        v = t = None
+    else:
+        rd = rho_doubled(rs)
+        v = [2 * a + r for a, r in zip(padded(tuple(lam), n), rd)]
+        t = [2 * b + r for b, r in zip(padded(tuple(mu), n), rd)]
+    perm = [0] * n
+    used = [False] * n
+
+    def build(i, flips, excess):
+        if i == n:
+            w = SignedPermutation(tuple(perm), frozenset(flips))
+            yield w, w.sign
+            return
+        signs = (1, -1)
+        if even_flips and i == n - 1:
+            signs = (-1,) if len(flips) % 2 else (1,)
+        for j in range(n):
+            if used[j]:
                 continue
-            w = SignedPermutation(
-                perm, frozenset(i for i in range(n) if mask >> i & 1)
-            )
-            yield w, pp * (-1) ** bits
+            used[j] = True
+            perm[j] = i
+            for s in signs:
+                if v is None:
+                    ahead = 0
+                else:
+                    ahead = excess + s * v[j] - t[i]
+                    if ahead < 0:
+                        continue
+                yield from build(i + 1, flips + (j,) if s < 0 else flips, ahead)
+            used[j] = False
+
+    yield from build(0, (), 0)
 
 
 def dot_action(w: SignedPermutation, lam, rs: RootSystem) -> tuple[int, ...]:

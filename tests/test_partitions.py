@@ -38,6 +38,14 @@ def test_check_partition_rejects_interior_zero():
         check_partition((2, 0, 1))
 
 
+def test_check_partition_rejects_non_integral_parts():
+    for bad in ((1.5,), (2, 0.5), (3, "1"), ("x",)):
+        with pytest.raises(ValueError):
+            check_partition(bad)
+    assert check_partition((2.0, 1)) == (2, 1)
+    assert all(type(x) is int for x in check_partition((2.0, True)))
+
+
 def test_padded():
     assert padded((2, 1), 4) == (2, 1, 0, 0)
     with pytest.raises(ValueError):

@@ -6,14 +6,21 @@ against a self-contained type-A (general linear) alternating sum that
 shares nothing with the B/C/D machinery.
 """
 
-from itertools import permutations
+from itertools import accumulate, permutations, product
 
 import pytest
 
 from qweyl.partitions import dominates, enumerate_partitions, padded, weight
 from qweyl.qkostant import k_direct, q_kostant, weight_multiplicity
 from qweyl.qseries import QSeries
-from qweyl.rootsystems import RootSystem, positive_roots
+from qweyl.rootsystems import (
+    RootSystem,
+    dot_action,
+    positive_roots,
+    rho_doubled,
+    weyl_iter,
+    weyl_order,
+)
 
 
 def pq_naive(rs, beta):
@@ -52,6 +59,72 @@ def test_pq_against_naive_enumeration():
             assert q_kostant(rs, beta).coeffs == pq_naive(rs, beta), (rs, beta)
 
 
+def pq_product(rs, max_height):
+    """{beta: {size: count}} for every beta of height <= max_height, read
+    off the expansion of prod over positive roots alpha of 1/(1 - q x^alpha).
+
+    The height h(v) = sum_i (n - i) v_i is at least 1 on every positive
+    root, so every partial sum of a multiset counted for beta has height
+    <= h(beta): cutting the expansion at max_height loses nothing below
+    it.  Root by root, no recursion and no cone test.
+    """
+    n = rs.rank
+
+    def height(v):
+        return sum((n - i) * c for i, c in enumerate(v))
+
+    series = {(0,) * n: {0: 1}}
+    for alpha in (tuple(c // 2 for c in r) for r in positive_roots(rs)):
+        step = height(alpha)
+        out = {}
+        for gamma, poly in series.items():
+            j, cur = 0, gamma
+            while height(gamma) + j * step <= max_height:
+                slot = out.setdefault(cur, {})
+                for size, c in poly.items():
+                    slot[size + j] = slot.get(size + j, 0) + c
+                j += 1
+                cur = tuple(a + b for a, b in zip(cur, alpha))
+        series = out
+    return series
+
+
+def test_pq_peeling_against_naive_enumeration():
+    # pq_naive enumerates every multiset without pruning; at rank 4 that
+    # takes up to a minute per beta, so ranks 2-4 are compared with the
+    # product expansion, which is itself checked against pq_naive at rank 2
+    seen = {"zero_leading": 0, "odd_sum": 0, "outside_cone": 0, "nonzero": 0}
+    for kind in "BCD":
+        for n, radius, max_height in ((2, 4, 14), (3, 3, 14), (4, 2, 14)):
+            rs = RootSystem(kind, n)
+            oracle = pq_product(rs, max_height)
+            for beta in product(range(-radius, radius + 1), repeat=n):
+                if sum((n - i) * c for i, c in enumerate(beta)) > max_height:
+                    continue
+                want = oracle.get(beta, {})
+                if n == 2:
+                    assert want == pq_naive(rs, beta), (rs, beta)
+                assert q_kostant(rs, beta).coeffs == want, (rs, beta)
+                seen["nonzero"] += bool(want)
+                if beta[0] == 0 and any(beta):
+                    seen["zero_leading"] += 1
+                if kind in "CD" and sum(beta) % 2:
+                    seen["odd_sum"] += 1
+                    assert not want, (rs, beta)
+                if any(s < 0 for s in accumulate(beta)):
+                    seen["outside_cone"] += 1
+                    assert not want, (rs, beta)
+    assert all(seen.values()), seen
+
+
+def test_q_kostant_rejects_non_integral_coordinates():
+    B2 = RootSystem("B", 2)
+    for beta in ((1.5, 0), (1, 0.5), (2, "1")):
+        with pytest.raises(ValueError):
+            q_kostant(B2, beta)
+    assert q_kostant(B2, (2.0, 0)) == q_kostant(B2, (2, 0))
+
+
 def test_pq_examples():
     C2 = RootSystem("C", 2)
     assert q_kostant(C2, (0, 0)) == QSeries.one()
@@ -87,6 +160,74 @@ def test_k_direct_rejects_non_dominant_weights():
     for bad in ((1, -2), (1, 0, -1)):
         with pytest.raises(ValueError):
             k_direct(D2, bad, ())
+
+
+def _dominant_weights(kind, n, max_weight):
+    """Partitions of weight <= max_weight with at most n parts and, in
+    type D, the mirror weights of those with n parts."""
+    weights = [p for p in enumerate_partitions(max_weight) if len(p) <= n]
+    if kind == "D":
+        weights += [p[:-1] + (-p[-1],) for p in weights if len(p) == n]
+    return weights
+
+
+def _full_group_sum(rs, orbit, mu):
+    """sum of sign(w) P_q(w o lam - mu) over orbit, the (w o lam, sign(w))
+    of the whole group, unpruned."""
+    mu_p = padded(mu, rs.rank)
+    acc = {}
+    for moved, sgn in orbit:
+        beta = tuple(a - b for a, b in zip(moved, mu_p))
+        for deg, c in q_kostant(rs, beta).coeffs.items():
+            acc[deg] = acc.get(deg, 0) + sgn * c
+    return QSeries(acc)
+
+
+def test_pruned_weyl_iter_against_full_group():
+    # the pruned enumerator yields, once each and with its sign, exactly
+    # the w of the whole group whose w(lam + rho) - (mu + rho) has
+    # nonnegative prefix sums; k_direct, which sums over those, equals
+    # the unpruned alternating sum over the whole group
+    seen = {"mirror": 0, "zero_coordinate": 0, "nonzero": 0}
+    for kind in "BCD":
+        for n in (2, 3, 4):
+            rs = RootSystem(kind, n)
+            rd = rho_doubled(rs)
+            group = list(weyl_iter(rs))
+            assert len({w for w, _ in group}) == weyl_order(rs)
+            weights = _dominant_weights(kind, n, 5)
+            for lam in weights:
+                v = tuple(2 * a + r for a, r in zip(padded(lam, n), rd))
+                orbit = [(dot_action(w, lam, rs), sgn) for w, sgn in group]
+                for mu in weights:
+                    if sum(map(abs, mu)) > sum(map(abs, lam)):
+                        continue
+                    t = tuple(2 * b + r for b, r in zip(padded(mu, n), rd))
+                    pruned = list(weyl_iter(rs, lam, mu))
+                    kept = [
+                        (w, sgn) for w, sgn in group
+                        if all(s >= 0 for s in accumulate(a - b for a, b in zip(w.act(v), t)))
+                    ]
+                    assert len(set(pruned)) == len(pruned), (rs, lam, mu)
+                    assert set(pruned) == set(kept), (rs, lam, mu)
+                    series = k_direct(rs, lam, mu)
+                    assert series == _full_group_sum(rs, orbit, mu), (rs, lam, mu)
+                    seen["nonzero"] += not series.is_zero()
+                    if kind == "D" and pruned:
+                        seen["mirror"] += min(lam + mu + (0,)) < 0
+                        seen["zero_coordinate"] += len(lam) < n
+    assert all(seen.values()), seen
+
+
+def test_k_direct_rejects_non_integral_parts():
+    # truncating with int() would read (1.5,) as (1,)
+    for rs, lam, mu in (
+        (RootSystem("B", 3), (1.5,), ()),
+        (RootSystem("C", 3), (2,), (0.5, 0.5)),
+        (RootSystem("D", 3), (2, 1, -0.5), ()),
+    ):
+        with pytest.raises(ValueError):
+            k_direct(rs, lam, mu)
 
 
 def test_nonnegativity_and_vanishing():

@@ -65,6 +65,16 @@ def test_recurrence_matches_direct_rank4_spots():
             )
 
 
+@pytest.mark.parametrize("n, max_weight", [(5, 5), (6, 4)])
+def test_recurrence_matches_direct_sum_high_rank(n, max_weight):
+    for kind in "BCD":
+        rs = RootSystem(kind, n)
+        for nu in enumerate_partitions(max_weight):
+            for mu in enumerate_partitions(weight(nu)):
+                if dominates(nu, mu):
+                    assert k_recurrence_finite(rs, nu, mu) == k_direct(rs, nu, mu), (rs, nu, mu)
+
+
 def test_recurrence_validates_shapes():
     with pytest.raises(ValueError):
         k_recurrence_finite(RootSystem("C", 2), (1, 1, 1), ())
