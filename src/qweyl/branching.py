@@ -29,7 +29,7 @@ from functools import cache
 from math import comb
 from typing import Optional
 
-from .lr import lr_coefficient
+from .lr import _lr_coefficient
 from .partitions import (
     Partition,
     check_partition,
@@ -67,49 +67,60 @@ class CharExpansion:
         return self.terms.get(tuple(lam), QSeries.zero())
 
 
-def _gamma_class(family: str) -> str:
-    # so-branching sums over even-row gamma, sp over even-column
-    return {"so": "even_rows", "sp": "even_columns"}[family]
+def _check_family(family: str, k: int = 0) -> None:
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if k < 0:
+        raise ValueError("k must be >= 0")
 
 
-def _nu_class(family: str) -> str:
-    # stable S(g) multiplicities: nu runs over the conjugate class
-    return {"so": "even_columns", "sp": "even_rows"}[family]
+# so-branching sums over even-row gamma, sp over even-column
+_GAMMA_CLASS = {"so": "even_rows", "sp": "even_columns"}
+# stable S(g) multiplicities: nu runs over the conjugate class
+_NU_CLASS = {"so": "even_columns", "sp": "even_rows"}
 
 
 def branching(family: str, nu: Partition, lam: Partition) -> int:
     """Multiplicity of V(lam) in the restriction of the gl-module V(nu)
     to the orthogonal (so) or symplectic (sp) subgroup, stable range."""
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    nu, lam = check_partition(nu), check_partition(lam)
+    _check_family(family)
+    return _branching(family, check_partition(nu), check_partition(lam))
+
+
+def _branching(family: str, nu: Partition, lam: Partition) -> int:
+    """branching on a known family and valid partitions."""
     diff = weight(nu) - weight(lam)
     if diff < 0 or diff % 2:
         return 0
     total = 0
-    for gamma in enumerate_partitions(diff, _gamma_class(family), exact_weight=diff):
-        total += lr_coefficient(lam, gamma, nu)
+    for gamma in enumerate_partitions(diff, _GAMMA_CLASS[family], exact_weight=diff):
+        total += _lr_coefficient(lam, gamma, nu)
     return total
 
 
 def sym_mult_stable(family: str, k: int, lam: Partition) -> int:
     """Stable multiplicity of V(lam) in S^k(g), g of the given family."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    lam = check_partition(lam)
+    _check_family(family, k)
+    return _sym_mult(family, k, check_partition(lam))
+
+
+@cache
+def _sym_mult(family: str, k: int, lam: Partition) -> int:
+    """sym_mult_stable on a known family, k >= 0 and a valid partition."""
     if weight(lam) > 2 * k:
         return 0
     total = 0
-    for nu in enumerate_partitions(2 * k, _nu_class(family), exact_weight=2 * k):
-        total += branching(family, nu, lam)
+    for nu in enumerate_partitions(2 * k, _NU_CLASS[family], exact_weight=2 * k):
+        total += _branching(family, nu, lam)
     return total
 
 
 def sym_char_stable(family: str, k: int) -> CharExpansion:
     """Universal character of S^k(g) as a CharExpansion at degree k."""
+    _check_family(family, k)
     terms: dict[Partition, QSeries] = {}
     for lam in enumerate_partitions(2 * k):
-        m = sym_mult_stable(family, k, lam)
+        m = _sym_mult(family, k, lam)
         if m:
             terms[lam] = QSeries.monomial(k, m)
     return CharExpansion(family, terms)
@@ -195,10 +206,10 @@ def euler_factor_coeffs(degs: list[int], bound: int) -> dict[int, int]:
 def harmonic_coeff_stable(family: str, k: int, lam: Partition) -> int:
     """Coefficient of q^k s_lam in the stable graded character of the
     harmonics: prod_{i>=1}(1 - q^{2i}) * char_q(S(g))."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _check_family(family, k)
+    lam = check_partition(lam)
     eps = euler_factor_coeffs([2 * i for i in range(1, k // 2 + 1)], k)
-    return sum(c * sym_mult_stable(family, k - j, lam) for j, c in eps.items())
+    return sum(c * _sym_mult(family, k - j, lam) for j, c in eps.items())
 
 
 def harmonic_char_finite(rs: RootSystem, k: int) -> CharExpansion:

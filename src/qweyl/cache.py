@@ -7,9 +7,11 @@ lr.lr_cache (the Littlewood-Richardson coefficients) and pieri._memo
 (the values of stable_pieri; pieri_expand does not fill it).  The other
 process-wide tables are functools.cache functions, which cannot list or
 insert entries: rootsystems.rho_doubled, qkostant._table,
-branching.sym_decomposition_finite, recurrence._k_finite,
-recurrence._k_limit and pieri._pieri_support (the memo of pieri_expand).
-table_stats() reports hits, misses and size for all eight.
+branching.sym_decomposition_finite, branching._sym_mult (the stable
+S^k(g) multiplicities), recurrence._k_finite, recurrence._k_limit,
+pieri._pieri_support (the memo of pieri_expand) and
+partitions._partitions_in_class (the memo of enumerate_partitions).
+table_stats() reports hits, misses and size for all ten.
 
 Binary format: magic+version header, one length-prefixed record per
 entry (repr of the key, signed integer value), and a trailing CRC32 of
@@ -25,7 +27,8 @@ import struct
 import zlib
 
 from . import lr, pieri
-from .branching import sym_decomposition_finite
+from .branching import _sym_mult, sym_decomposition_finite
+from .partitions import _partitions_in_class
 from .qkostant import _table
 from .recurrence import _k_finite, _k_limit
 from .rootsystems import rho_doubled
@@ -44,8 +47,8 @@ def _sections() -> list[tuple[str, dict]]:
 
 # held here, so that a wrapper bound over a module attribute later does
 # not hide cache_info()
-_CACHED = (rho_doubled, _table, sym_decomposition_finite, _k_finite, _k_limit,
-           pieri._pieri_support)
+_CACHED = (rho_doubled, _table, sym_decomposition_finite, _sym_mult, _k_finite, _k_limit,
+           pieri._pieri_support, _partitions_in_class)
 
 
 def table_stats() -> dict[str, dict[str, int]]:

@@ -4,8 +4,8 @@ limit series K_{lambda,mu}(q), the truncated K-matrix over a window of
 partitions, and the dual P-basis obtained by triangular inversion.
 
 Partitions are ordered by (weight, reverse-lexicographic); in that order
-the K-matrix is upper-unitriangular, so inversion is plain back
-substitution over truncated series.
+the K-matrix is upper-unitriangular, so inversion is back substitution
+over truncated series, restricted to the entries that can be nonzero.
 """
 
 __all__ = [
@@ -16,6 +16,7 @@ __all__ = [
 ]
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .branching import CharExpansion
 from .partitions import (
@@ -105,28 +106,40 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
     Exact as a matrix inverse mod q^{D+1}; the product with the K-matrix
     is the identity on rows lam with |lam| + 2D <= weight_bound, where
     the window is support-closed.
+
+    Each column mu is solved only on the rows lam with K[lam, kappa] != 0
+    for some nonzero inv[kappa, mu]; every other entry of the column is
+    provably zero.  Entries are inserted in the same order as by a full
+    back substitution over the window.
     """
     km = k_matrix(family, weight_bound, D)
     index = km.index
     rows: dict[Partition, list[tuple[Partition, QSeries]]] = {}
+    cols: dict[Partition, list[Partition]] = {}
     for (lam, kappa), val in km.entries.items():
         if lam != kappa:
             rows.setdefault(lam, []).append((kappa, val))
+            cols.setdefault(kappa, []).append(lam)
     inv: dict[tuple[Partition, Partition], QSeries] = {}
     # K[lam, kappa] != 0 needs kappa <= lam in (weight, dominance); solve
     # K . inv = I row by row along a linear extension of that order:
     # inv[lam, mu] = delta - sum_{kappa < lam} K[lam,kappa] inv[kappa,mu]
     solve_order = sorted(index, key=lambda p: (weight(p), p))
+    position = {p: i for i, p in enumerate(solve_order)}
     for mu in index:
         inv[(mu, mu)] = QSeries.one(D)
-        for lam in solve_order:
-            if lam == mu:
-                continue
+        # a worklist in solve order: a row is pushed only by an earlier row,
+        # so each nonzero inv[kappa, mu] it needs is done when it is popped
+        todo = [position[p] for p in cols.get(mu, ())]
+        heapify(todo)
+        queued = set(todo)
+        while todo:
+            lam = solve_order[heappop(todo)]
             # -sum K[lam,kappa] inv[kappa,mu], one q^d term of K at a time
             entry = QSeries.combination(
                 (
                     (-c, d, inv[(kappa, mu)])
-                    for kappa, kval in rows.get(lam, ())
+                    for kappa, kval in rows[lam]
                     if (kappa, mu) in inv
                     for d, c in kval.coeffs.items()
                 ),
@@ -134,4 +147,9 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
             )
             if entry:
                 inv[(lam, mu)] = entry
+                for p in cols.get(lam, ()):
+                    i = position[p]
+                    if i not in queued:
+                        queued.add(i)
+                        heappush(todo, i)
     return TruncatedKMatrix(family, weight_bound, D, index, inv)

@@ -75,7 +75,11 @@ def _count_fillings(nu: Partition, lam: Partition, gamma: Partition) -> int:
 
 def lr_coefficient(lam: Partition, gamma: Partition, nu: Partition) -> int:
     """The Littlewood-Richardson coefficient c^nu_{lam,gamma}."""
-    lam, gamma, nu = check_partition(lam), check_partition(gamma), check_partition(nu)
+    return _lr_coefficient(check_partition(lam), check_partition(gamma), check_partition(nu))
+
+
+def _lr_coefficient(lam: Partition, gamma: Partition, nu: Partition) -> int:
+    """lr_coefficient on valid partitions."""
     if weight(nu) != weight(lam) + weight(gamma):
         return 0
     if not contains(nu, lam) or not contains(nu, gamma):

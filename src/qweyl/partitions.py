@@ -21,7 +21,7 @@ __all__ = [
     "partition_sort_key",
 ]
 
-from itertools import count
+from functools import cache
 from typing import Iterator, Optional
 
 Partition = tuple[int, ...]
@@ -170,31 +170,34 @@ def enumerate_partitions(
     """List partitions of a class, in (weight, reverse-lex) order.
 
     cls is one of "all", "even_rows" (every part even), "even_columns"
-    (every column length even, i.e. parts come in equal pairs).
+    (every column length even, i.e. parts come in equal pairs).  Each
+    (weight, class) is enumerated once; every call returns a fresh list.
     """
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     if cls not in ("all", "even_rows", "even_columns"):
         raise ValueError(f"unknown partition class {cls!r}")
-    weights = [exact_weight] if exact_weight is not None else list(range(max_weight + 1))
+    if exact_weight is not None:
+        return list(_partitions_in_class(exact_weight, cls))
     out: list[Partition] = []
-    for k in weights:
-        if cls == "even_rows":
-            if k % 2:
-                continue
-            out.extend(tuple(2 * x for x in p) for p in _partitions_of(k // 2))
-        elif cls == "even_columns":
-            if k % 2:
-                continue
-            # conjugates of even-row partitions: parts repeated in pairs
-            doubled = [
-                tuple(x for x in p for _ in (0, 1)) for p in _partitions_of(k // 2)
-            ]
-            doubled.sort(key=lambda t: tuple(-x for x in t))
-            out.extend(doubled)
-        else:
-            out.extend(_partitions_of(k))
+    for k in range(max_weight + 1):
+        out.extend(_partitions_in_class(k, cls))
     return out
+
+
+@cache
+def _partitions_in_class(k: int, cls: str) -> tuple[Partition, ...]:
+    """The partitions of k in the class, in reverse-lex order."""
+    if cls == "all":
+        return tuple(_partitions_of(k))
+    if k % 2:
+        return ()
+    if cls == "even_rows":
+        return tuple(tuple(2 * x for x in p) for p in _partitions_of(k // 2))
+    # even_columns: conjugates of even-row partitions, parts repeated in pairs
+    doubled = [tuple(x for x in p for _ in (0, 1)) for p in _partitions_of(k // 2)]
+    doubled.sort(key=lambda t: tuple(-x for x in t))
+    return tuple(doubled)
 
 
 def partition_sort_key(p: Partition):

@@ -61,9 +61,14 @@ class QSeries:
         t = trunc
         cc: dict[int, int] = {}
         for factor, shift, series in terms:
-            t = _min_trunc(t, series.trunc)
+            st = series.trunc
+            if st is not None and (t is None or st < t):
+                t = st
             for d, c in series.coeffs.items():
                 d += shift
+                # the bound only shrinks, so the constructor would drop d
+                if t is not None and d > t:
+                    continue
                 cc[d] = cc.get(d, 0) + factor * c
         return QSeries(cc, t)
 

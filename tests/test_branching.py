@@ -8,9 +8,11 @@ harmonic graded multiplicities against the alternating-sum q-analogue.
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qweyl.branching import (
     CharExpansion,
+    _sym_mult,
     branching,
     euler_factor_coeffs,
     harmonic_char_finite,
@@ -21,9 +23,12 @@ from qweyl.branching import (
     sym_mult_finite,
     sym_mult_stable,
 )
+from qweyl.hall_littlewood import k_matrix, p_basis_matrix
+from qweyl.lr import lr_coefficient
 from qweyl.partitions import conjugate, enumerate_partitions, weight
 from qweyl.qkostant import k_direct
 from qweyl.qseries import QSeries
+from qweyl.recurrence import k_limit
 from qweyl.rootsystems import RootSystem, weyl_dim
 
 
@@ -128,6 +133,80 @@ def test_harmonic_stable_kills_invariants():
         assert harmonic_coeff_stable(family, 0, ()) == 1
         for k in range(1, 5):
             assert harmonic_coeff_stable(family, k, ()) == 0, (family, k)
+
+
+def test_harmonic_stable_matches_finite_in_stable_range():
+    # B and C at rank 2k+1, D at rank 2k+2 (rank >= 2), every |lam| <= 2k
+    for k in range(4):
+        for kind, rank in (("B", 2 * k + 1), ("C", 2 * k + 1), ("D", 2 * k + 2)):
+            rs = RootSystem(kind, max(rank, 2))
+            finite = harmonic_char_finite(rs, k)
+            for lam in enumerate_partitions(2 * k):
+                assert harmonic_coeff_stable(rs.family, k, lam) == finite.coeff(lam)[k], (
+                    rs.algebra, k, lam)
+
+
+def test_unknown_family_is_rejected_before_the_memo():
+    before = _sym_mult.cache_info().currsize
+    for call in (
+        lambda: sym_mult_stable("xx", 2, (2,)),
+        lambda: harmonic_coeff_stable("xx", 2, (2,)),
+        lambda: sym_char_stable("xx", 2),
+        lambda: branching("xx", (2,), ()),
+    ):
+        with pytest.raises(ValueError, match="unknown family 'xx'"):
+            call()
+    assert _sym_mult.cache_info().currsize == before
+
+
+def _is_partition(parts) -> bool:
+    p = list(parts)
+    while p and p[-1] == 0:
+        p.pop()
+    return all(x > 0 for x in p) and all(a >= b for a, b in zip(p, p[1:]))
+
+
+# increasing, negative or non-integral parts (trailing zeros are allowed)
+_bad_shapes = st.one_of(
+    st.lists(st.integers(-3, 4), min_size=1, max_size=4).filter(
+        lambda p: not _is_partition(p)
+    ),
+    st.tuples(
+        st.lists(st.integers(0, 4), max_size=3), st.sampled_from([0.5, 1.5, -2.5])
+    ).flatmap(
+        lambda pf: st.integers(0, len(pf[0])).map(lambda i: pf[0][:i] + [pf[1]] + pf[0][i:])
+    ),
+)
+_bad_families = st.text(max_size=3).filter(lambda f: f not in ("so", "sp"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bad_shapes, _bad_families)
+def test_invalid_shapes_raise_value_error(bad, family):
+    calls = [
+        lambda: branching("so", bad, ()),
+        lambda: branching("sp", (2,), bad),
+        lambda: branching(family, (2,), ()),
+        lambda: lr_coefficient(bad, (1,), (2, 1)),
+        lambda: lr_coefficient((1,), bad, (2, 1)),
+        lambda: lr_coefficient((1,), (1,), bad),
+        lambda: sym_mult_stable("so", 2, bad),
+        lambda: sym_mult_stable(family, 2, (2,)),
+        lambda: sym_char_stable(family, 1),
+        lambda: harmonic_coeff_stable("sp", 2, bad),
+        lambda: harmonic_coeff_stable(family, 2, (2,)),
+        lambda: k_limit("so", bad, (), 2),
+        lambda: k_limit("sp", (2,), bad, 2),
+        lambda: k_limit(family, (2,), (), 2),
+        lambda: k_matrix(family, 2, 1),
+        lambda: k_matrix("so", -1, 1),
+        lambda: k_matrix("sp", 2, -1),
+        lambda: p_basis_matrix(family, 2, 1),
+        lambda: p_basis_matrix("so", 2, -1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_harmonic_finite_matches_q_analogue():

@@ -62,7 +62,8 @@ def test_json_meta_reports_every_memo_table(capsys):
     tables = stats["tables"]
     assert set(tables) == {
         "rootsystems.rho_doubled", "qkostant._table", "branching.sym_decomposition_finite",
-        "recurrence._k_finite", "recurrence._k_limit", "pieri._pieri_support",
+        "branching._sym_mult", "recurrence._k_finite", "recurrence._k_limit",
+        "pieri._pieri_support", "partitions._partitions_in_class",
         "lr.lr_cache", "pieri._memo",
     }
     assert all(set(t) == {"hits", "misses", "size"} for t in tables.values())

@@ -1,5 +1,7 @@
 """Truncated K-matrix, its inverse, and Q'-expansions."""
 
+import pytest
+
 from qweyl.hall_littlewood import k_matrix, p_basis_matrix, qprime_expansion
 from qweyl.partitions import conjugate, dominates, enumerate_partitions, weight
 from qweyl.qseries import QSeries
@@ -84,7 +86,43 @@ def test_qprime_support_bound():
 
 
 def test_matmul_index_mismatch():
-    import pytest
-
     with pytest.raises(ValueError):
         k_matrix("so", 4, 2).matmul(k_matrix("so", 2, 2))
+
+
+def _dense_back_substitution(km):
+    """The unpruned inverse: every (lam, mu) pair of the window is solved."""
+    D = km.degree
+    rows = {}
+    for (lam, kappa), val in km.entries.items():
+        if lam != kappa:
+            rows.setdefault(lam, []).append((kappa, val))
+    inv = {}
+    solve_order = sorted(km.index, key=lambda p: (weight(p), p))
+    for mu in km.index:
+        inv[(mu, mu)] = QSeries.one(D)
+        for lam in solve_order:
+            if lam == mu:
+                continue
+            entry = QSeries.combination(
+                (
+                    (-c, d, inv[(kappa, mu)])
+                    for kappa, kval in rows.get(lam, ())
+                    if (kappa, mu) in inv
+                    for d, c in kval.coeffs.items()
+                ),
+                D,
+            )
+            if entry:
+                inv[(lam, mu)] = entry
+    return inv
+
+
+@pytest.mark.parametrize("family", ["so", "sp"])
+@pytest.mark.parametrize("bound, D", [(6, 3), (8, 6), (10, 4), (12, 3)])
+def test_pruned_inverse_matches_dense_back_substitution(family, bound, D):
+    # the pruned solve skips only entries that are provably zero, and
+    # inserts the others in the same order
+    pm = p_basis_matrix(family, bound, D)
+    dense = _dense_back_substitution(k_matrix(family, bound, D))
+    assert list(pm.entries.items()) == list(dense.items())

@@ -116,6 +116,16 @@ def test_enumerate_order_and_classes():
     assert enumerate_partitions(4, "all", exact_weight=3) == [(3,), (2, 1), (1, 1, 1)]
 
 
+def test_enumerate_result_cannot_corrupt_the_memo():
+    for cls in ("all", "even_rows", "even_columns"):
+        for args in ((6, cls), (6, cls, 4)):
+            first = enumerate_partitions(*args)
+            expected = list(first)
+            first.clear()
+            enumerate_partitions(*args).append((99,))
+            assert enumerate_partitions(*args) == expected, args
+
+
 def test_enumerate_classes_are_conjugate():
     rows = set(enumerate_partitions(8, "even_rows"))
     cols = set(enumerate_partitions(8, "even_columns"))
