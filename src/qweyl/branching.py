@@ -29,7 +29,7 @@ from functools import cache
 from math import comb
 from typing import Optional
 
-from .lr import _lr_coefficient
+from .lr import lr_coefficient
 from .partitions import (
     Partition,
     check_partition,
@@ -70,8 +70,8 @@ class CharExpansion:
 def _check_family(family: str, k: int = 0) -> None:
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"k must be an integer >= 0, got {k!r}")
 
 
 # so-branching sums over even-row gamma, sp over even-column
@@ -84,17 +84,13 @@ def branching(family: str, nu: Partition, lam: Partition) -> int:
     """Multiplicity of V(lam) in the restriction of the gl-module V(nu)
     to the orthogonal (so) or symplectic (sp) subgroup, stable range."""
     _check_family(family)
-    return _branching(family, check_partition(nu), check_partition(lam))
-
-
-def _branching(family: str, nu: Partition, lam: Partition) -> int:
-    """branching on a known family and valid partitions."""
+    nu, lam = check_partition(nu), check_partition(lam)
     diff = weight(nu) - weight(lam)
     if diff < 0 or diff % 2:
         return 0
     total = 0
     for gamma in enumerate_partitions(diff, _GAMMA_CLASS[family], exact_weight=diff):
-        total += _lr_coefficient(lam, gamma, nu)
+        total += lr_coefficient(lam, gamma, nu)
     return total
 
 
@@ -111,7 +107,7 @@ def _sym_mult(family: str, k: int, lam: Partition) -> int:
         return 0
     total = 0
     for nu in enumerate_partitions(2 * k, _NU_CLASS[family], exact_weight=2 * k):
-        total += _branching(family, nu, lam)
+        total += branching(family, nu, lam)
     return total
 
 

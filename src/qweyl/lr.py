@@ -75,11 +75,7 @@ def _count_fillings(nu: Partition, lam: Partition, gamma: Partition) -> int:
 
 def lr_coefficient(lam: Partition, gamma: Partition, nu: Partition) -> int:
     """The Littlewood-Richardson coefficient c^nu_{lam,gamma}."""
-    return _lr_coefficient(check_partition(lam), check_partition(gamma), check_partition(nu))
-
-
-def _lr_coefficient(lam: Partition, gamma: Partition, nu: Partition) -> int:
-    """lr_coefficient on valid partitions."""
+    lam, gamma, nu = check_partition(lam), check_partition(gamma), check_partition(nu)
     if weight(nu) != weight(lam) + weight(gamma):
         return 0
     if not contains(nu, lam) or not contains(nu, gamma):

@@ -156,6 +156,13 @@ def test_unknown_family_is_rejected_before_the_memo():
     ):
         with pytest.raises(ValueError, match="unknown family 'xx'"):
             call()
+    for call in (
+        lambda: sym_mult_stable("so", 1.5, (2,)),
+        lambda: harmonic_coeff_stable("so", 1.5, (2,)),
+        lambda: sym_char_stable("sp", 0.5),
+    ):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            call()
     assert _sym_mult.cache_info().currsize == before
 
 
@@ -178,11 +185,12 @@ _bad_shapes = st.one_of(
     ),
 )
 _bad_families = st.text(max_size=3).filter(lambda f: f not in ("so", "sp"))
+_bad_degrees = st.one_of(st.integers(max_value=-1), st.sampled_from([0.5, 1.5, 2.0, -2.5]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(_bad_shapes, _bad_families)
-def test_invalid_shapes_raise_value_error(bad, family):
+@given(_bad_shapes, _bad_families, _bad_degrees)
+def test_invalid_shapes_raise_value_error(bad, family, k):
     calls = [
         lambda: branching("so", bad, ()),
         lambda: branching("sp", (2,), bad),
@@ -192,7 +200,10 @@ def test_invalid_shapes_raise_value_error(bad, family):
         lambda: lr_coefficient((1,), (1,), bad),
         lambda: sym_mult_stable("so", 2, bad),
         lambda: sym_mult_stable(family, 2, (2,)),
+        lambda: sym_mult_stable("sp", k, (2,)),
         lambda: sym_char_stable(family, 1),
+        lambda: sym_char_stable("so", k),
+        lambda: harmonic_coeff_stable("so", k, (2,)),
         lambda: harmonic_coeff_stable("sp", 2, bad),
         lambda: harmonic_coeff_stable(family, 2, (2,)),
         lambda: k_limit("so", bad, (), 2),
