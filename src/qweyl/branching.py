@@ -32,8 +32,10 @@ from typing import Optional
 from .lr import lr_coefficient
 from .partitions import (
     Partition,
+    check_bound,
     check_partition,
     conjugate,
+    contains,
     enumerate_partitions,
     weight,
 )
@@ -70,8 +72,7 @@ class CharExpansion:
 def _check_family(family: str, k: int = 0) -> None:
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"k must be an integer >= 0, got {k!r}")
+    check_bound(k, "k")
 
 
 # so-branching sums over even-row gamma, sp over even-column
@@ -82,15 +83,19 @@ _NU_CLASS = {"so": "even_columns", "sp": "even_rows"}
 
 def branching(family: str, nu: Partition, lam: Partition) -> int:
     """Multiplicity of V(lam) in the restriction of the gl-module V(nu)
-    to the orthogonal (so) or symplectic (sp) subgroup, stable range."""
+    to the orthogonal (so) or symplectic (sp) subgroup, stable range.
+
+    c^nu_{lam,gamma} is 0 unless lam and gamma both fit inside nu, so the
+    sum skips every other term."""
     _check_family(family)
     nu, lam = check_partition(nu), check_partition(lam)
     diff = weight(nu) - weight(lam)
-    if diff < 0 or diff % 2:
+    if diff < 0 or diff % 2 or not contains(nu, lam):
         return 0
     total = 0
     for gamma in enumerate_partitions(diff, _GAMMA_CLASS[family], exact_weight=diff):
-        total += lr_coefficient(lam, gamma, nu)
+        if contains(nu, gamma):
+            total += lr_coefficient(lam, gamma, nu)
     return total
 
 
@@ -107,7 +112,8 @@ def _sym_mult(family: str, k: int, lam: Partition) -> int:
         return 0
     total = 0
     for nu in enumerate_partitions(2 * k, _NU_CLASS[family], exact_weight=2 * k):
-        total += branching(family, nu, lam)
+        if contains(nu, lam):  # branching(family, nu, lam) is 0 otherwise
+            total += branching(family, nu, lam)
     return total
 
 
@@ -155,13 +161,18 @@ def _sym_power_weight_system(rs: RootSystem, k: int) -> dict[tuple[int, ...], in
     return out
 
 
-@cache
 def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], int]:
     """Decompose S^k(g) into irreducibles of g.
 
     Keys are highest weights as integer tuples without trailing zeros;
     in type D the last coordinate may be negative (mirror modules).
     """
+    return _sym_decomposition(rs, check_bound(k, "k"))
+
+
+@cache
+def _sym_decomposition(rs: RootSystem, k: int) -> dict[tuple[int, ...], int]:
+    """sym_decomposition_finite on an integer k >= 0."""
     # Brauer-Klimyk with V(0): each weight wt of multiplicity m adds
     # sign(w) m V(w o wt); weights with wt + rho on a wall add nothing
     out: dict[tuple[int, ...], int] = {}
@@ -174,8 +185,7 @@ def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], in
 
 def sym_mult_finite(rs: RootSystem, k: int, lam: Partition) -> int:
     """Multiplicity of V(lam) in S^k(g) at finite rank."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_bound(k, "k")
     lam = check_partition(lam)
     if len(lam) > rs.rank:
         raise ValueError("partition longer than the rank")
@@ -211,8 +221,7 @@ def harmonic_coeff_stable(family: str, k: int, lam: Partition) -> int:
 def harmonic_char_finite(rs: RootSystem, k: int) -> CharExpansion:
     """Degree-k part of the graded character of the harmonics H(g),
     expanded on the irreducible characters of g."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_bound(k, "k")
     eta = euler_factor_coeffs(degrees(rs), k)
     acc: dict[Partition, int] = {}
     for j, c in eta.items():

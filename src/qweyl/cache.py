@@ -7,11 +7,13 @@ lr.lr_cache (the Littlewood-Richardson coefficients) and pieri._memo
 (the values of stable_pieri; pieri_expand does not fill it).  The other
 process-wide tables are functools.cache functions, which cannot list or
 insert entries: rootsystems.rho_doubled, qkostant._table,
-branching.sym_decomposition_finite, branching._sym_mult (the stable
-S^k(g) multiplicities), recurrence._k_finite, recurrence._k_limit,
+branching._sym_decomposition (the memo of sym_decomposition_finite),
+branching._sym_mult (the stable S^k(g) multiplicities),
+recurrence._k_finite, recurrence._k_limit, recurrence._morris_step (the
+terms of one stable recurrence step per (family, nu, mu_1)),
 pieri._pieri_support (the memo of pieri_expand) and
 partitions._partitions_in_class (the memo of enumerate_partitions).
-table_stats() reports hits, misses and size for all ten.
+table_stats() reports hits, misses and size for all eleven.
 
 Binary format: magic+version header, one length-prefixed record per
 entry (repr of the key, signed integer value), and a trailing CRC32 of
@@ -27,10 +29,10 @@ import struct
 import zlib
 
 from . import lr, pieri
-from .branching import _sym_mult, sym_decomposition_finite
+from .branching import _sym_decomposition, _sym_mult
 from .partitions import _partitions_in_class
 from .qkostant import _table
-from .recurrence import _k_finite, _k_limit
+from .recurrence import _k_finite, _k_limit, _morris_step
 from .rootsystems import rho_doubled
 
 MAGIC = b"QWEYLC01"
@@ -47,8 +49,8 @@ def _sections() -> list[tuple[str, dict]]:
 
 # held here, so that a wrapper bound over a module attribute later does
 # not hide cache_info()
-_CACHED = (rho_doubled, _table, sym_decomposition_finite, _sym_mult, _k_finite, _k_limit,
-           pieri._pieri_support, _partitions_in_class)
+_CACHED = (rho_doubled, _table, _sym_decomposition, _sym_mult, _k_finite, _k_limit,
+           _morris_step, pieri._pieri_support, _partitions_in_class)
 
 
 def table_stats() -> dict[str, dict[str, int]]:

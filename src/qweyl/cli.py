@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__
-from .branching import harmonic_char_finite
+from .branching import harmonic_char_finite, harmonic_coeff_stable
 from .cache import CorruptCacheError, cache_load, cache_save, default_cache_path, table_stats
 from .lr import lr_cache_stats
 from .partitions import Partition, check_partition, conjugate, dominates, enumerate_partitions, weight
@@ -179,6 +179,21 @@ def _suite_hesselink(args):
     return checks, fails
 
 
+def _suite_stable_hesselink(args):
+    # coefficient k of K_{lam,empty}: Morris/Pieri recurrence vs Littlewood/LR sums
+    fails, checks = [], 0
+    for family in ("so", "sp"):
+        for lam in enumerate_partitions(args.max_weight):
+            series = k_limit(family, lam, (), args.max_k)
+            for k in range(args.max_k + 1):
+                checks += 1
+                harmonic = harmonic_coeff_stable(family, k, lam)
+                if series[k] != harmonic:
+                    fails.append({"family": family, "lambda": list(lam), "k": k,
+                                  "limit": series[k], "harmonic": harmonic})
+    return checks, fails
+
+
 def _suite_degrees(args):
     fails, checks = [], 0
     for kind in "BCD":
@@ -237,6 +252,7 @@ _SUITES = {
     "duality": (_suite_duality, {"max_weight": 6, "trunc": 8}),
     "stability": (_suite_stability, {"max_weight": 4, "max_k": 2}),
     "hesselink": (_suite_hesselink, {"max_k": 2}),
+    "stable-hesselink": (_suite_stable_hesselink, {"max_weight": 10, "max_k": 8}),
     "degrees": (_suite_degrees, {"max_weight": 4, "max_rank": 3}),
     "pieri-oracle": (_suite_pieri_oracle, {"max_weight": 4, "max_rank": 4}),
     "hl-inverse": (_suite_hl_inverse, {"max_weight": 6, "trunc": 2}),

@@ -21,6 +21,8 @@ from heapq import heapify, heappop, heappush
 from .branching import CharExpansion
 from .partitions import (
     Partition,
+    check_bound,
+    check_partition,
     dominates,
     enumerate_partitions,
     weight,
@@ -71,7 +73,8 @@ def qprime_expansion(family: str, mu: Partition, D: int) -> CharExpansion:
     The support is exhausted by |lambda| <= |mu| + 2D since the lowest
     degree of K_{lambda,mu} is at least (|lambda| - |mu|) / 2.
     """
-    mu = tuple(mu)
+    mu = check_partition(mu)
+    check_bound(D, "D")
     terms: dict[Partition, QSeries] = {}
     for lam in enumerate_partitions(weight(mu) + 2 * D):
         series = k_limit(family, lam, mu, D)
@@ -86,6 +89,8 @@ def _window(weight_bound: int) -> list[Partition]:
 
 def k_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
     """The matrix K_{lam,mu}(q) mod q^{D+1} over the partition window."""
+    check_bound(weight_bound, "weight_bound")
+    check_bound(D, "D")
     index = _window(weight_bound)
     entries: dict[tuple[Partition, Partition], QSeries] = {}
     for lam in index:

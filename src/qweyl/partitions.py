@@ -8,6 +8,7 @@ empty tuple.  Padding to a fixed length is done on demand with `padded`.
 __all__ = [
     "Partition",
     "check_partition",
+    "check_bound",
     "integral_parts",
     "weight",
     "padded",
@@ -53,6 +54,14 @@ def check_partition(parts) -> Partition:
     if p and p[-1] < 0:
         raise ValueError(f"negative part in {p}")
     return p
+
+
+def check_bound(value, name: str, low: int = 0) -> int:
+    """value as an integer bound (a degree, weight or rank) >= low; a
+    non-integer, even an integral float, is an error."""
+    if not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def weight(p: Partition) -> int:
@@ -173,8 +182,7 @@ def enumerate_partitions(
     (every column length even, i.e. parts come in equal pairs).  Each
     (weight, class) is enumerated once; every call returns a fresh list.
     """
-    if max_weight < 0:
-        raise ValueError("max_weight must be >= 0")
+    check_bound(max_weight, "max_weight")
     if cls not in ("all", "even_rows", "even_columns"):
         raise ValueError(f"unknown partition class {cls!r}")
     if exact_weight is not None:

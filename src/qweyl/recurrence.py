@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb
 
-from .partitions import Partition, check_partition, padded, weight
+from .partitions import Partition, check_bound, check_partition, padded, weight
 from .pieri import pieri_expand
 from .qkostant import k_direct
 from .qseries import QSeries
@@ -175,8 +175,7 @@ def k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
     """The stable series K_{nu,mu}(q) for the so or sp family, mod q^{D+1}."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if D < 0:
-        raise ValueError("D must be >= 0")
+    check_bound(D, "D")
     return _k_limit(family, check_partition(nu), check_partition(mu), D)
 
 
@@ -185,11 +184,30 @@ def _k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
     """k_limit on valid partitions; the recursion stays inside this body."""
     if not nu and not mu:
         return QSeries.one(D)
-    is_sp = family == "sp"
     mu_flat = mu[1:]
-    frame = _frame(nu, mu)
+    total = QSeries.combination(
+        [
+            (factor, shift, _k_limit(family, lam, mu_flat, D))
+            for factor, shift, lam in _morris_step(family, nu, mu[0] if mu else 0)
+            if shift <= D
+        ],
+        D,
+    )
+    if not mu:
+        total = total.div_one_minus_qm(nu[0], D)
+    return total
+
+
+@cache
+def _morris_step(family: str, nu: Partition, mu1: int) -> tuple[tuple[int, int, Partition], ...]:
+    """The terms (factor, shift, lam) of the stable step for K_{nu,mu}, at
+    every shift: K_{nu,mu} = sum factor q^shift K_{lam, mu-flat}.  The step
+    depends on mu only through mu_1 (0 for mu = empty), so one table serves
+    every mu with that first part and every truncation D."""
+    is_sp = family == "sp"
+    frame = _frame(nu, (mu1,) if mu1 else ())
     measure = weight(nu) + weight(nu[1:])
-    terms = []  # (factor, shift, K_{lam, mu-flat}) of the recurrence step
+    terms = []
     for s in range(1, frame.p + 1):
         R_s = frame.R[s - 1]
         gam = frame.gammas[s - 1]
@@ -197,17 +215,12 @@ def _k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
         for a in range(R_s // 2 + 1):
             r = R_s - 2 * a
             shift = _q_exponent(is_sp, R_s, r, a)
-            if shift > D:
-                continue
             for lam, pc in pieri_expand(gam, r).items():
-                if not mu and s == 1 and a == 0 and lam == nu:
+                if not mu1 and s == 1 and a == 0 and lam == nu:
                     continue  # the self-term, moved to the left-hand side
-                assert weight(lam) + weight(lam[1:]) < measure, (nu, mu, lam)
-                terms.append((sign * pc, shift, _k_limit(family, lam, mu_flat, D)))
-    total = QSeries.combination(terms, D)
-    if not mu:
-        total = total.div_one_minus_qm(nu[0], D)
-    return total
+                assert weight(lam) + weight(lam[1:]) < measure, (nu, mu1, lam)
+                terms.append((sign * pc, shift, lam))
+    return tuple(terms)
 
 
 def degree_bounds(rs: RootSystem, nu: Partition, mu: Partition) -> tuple[int, int]:
@@ -233,9 +246,6 @@ def degree_bounds(rs: RootSystem, nu: Partition, mu: Partition) -> tuple[int, in
 def brylinski_dims(rs: RootSystem, lam: Partition, mu: Partition, k: int) -> int:
     """dim of the k-th step of the principal-nilpotent filtration of the
     mu-weight space of V(lam): the partial sum of K-coefficients up to q^k."""
-    if k < -1:
-        raise ValueError("k must be >= -1")
-    if k == -1:
-        return 0
+    check_bound(k, "k", -1)
     series = k_direct(rs, lam, mu)
     return sum(c for d, c in series.coeffs.items() if d <= k)

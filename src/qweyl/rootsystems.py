@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterator
 
-from .partitions import check_partition, integral_parts, padded
+from .partitions import check_bound, check_partition, integral_parts, padded
 
 Weight = tuple[int, ...]  # doubled coordinates
 
@@ -42,8 +42,7 @@ class RootSystem:
     def __post_init__(self):
         if self.kind not in ("B", "C", "D"):
             raise ValueError(f"unknown type {self.kind!r}")
-        if self.rank < 2:
-            raise ValueError("rank must be >= 2")
+        check_bound(self.rank, "rank", 2)
 
     def __str__(self):
         return f"{self.kind}{self.rank}"

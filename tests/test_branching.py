@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from qweyl.branching import (
     CharExpansion,
+    _sym_decomposition,
     _sym_mult,
     branching,
     euler_factor_coeffs,
@@ -23,12 +24,12 @@ from qweyl.branching import (
     sym_mult_finite,
     sym_mult_stable,
 )
-from qweyl.hall_littlewood import k_matrix, p_basis_matrix
+from qweyl.hall_littlewood import k_matrix, p_basis_matrix, qprime_expansion
 from qweyl.lr import lr_coefficient
 from qweyl.partitions import conjugate, enumerate_partitions, weight
-from qweyl.qkostant import k_direct
+from qweyl.qkostant import _table, k_direct
 from qweyl.qseries import QSeries
-from qweyl.recurrence import k_limit
+from qweyl.recurrence import _k_finite, brylinski_dims, degree_bounds, k_limit, k_recurrence_finite
 from qweyl.rootsystems import RootSystem, weyl_dim
 
 
@@ -214,10 +215,82 @@ def test_invalid_shapes_raise_value_error(bad, family, k):
         lambda: k_matrix("sp", 2, -1),
         lambda: p_basis_matrix(family, 2, 1),
         lambda: p_basis_matrix("so", 2, -1),
+        lambda: k_limit("so", (2,), (), k),
+        lambda: k_matrix("so", 2, k),
+        lambda: k_matrix("so", k, 1),
+        lambda: p_basis_matrix("so", 2, k),
+        lambda: qprime_expansion("so", (1,), k),
     ]
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+# a shape too long for D5 is rejected for its length, a shorter one cannot
+# be a type-D mirror weight, so every draw is invalid for every system
+_systems = st.sampled_from([RootSystem("B", 2), RootSystem("C", 3), RootSystem("D", 5)])
+_bad_ranks = st.one_of(st.integers(max_value=1), st.sampled_from([2.5, 3.0, -1.5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_systems, _bad_shapes, _bad_degrees, _bad_ranks)
+def test_invalid_finite_inputs_raise_value_error(rs, bad, k, rank):
+    tables = (_table, _k_finite, _sym_decomposition)
+    before = [t.cache_info() for t in tables]
+    calls = [
+        lambda: k_direct(rs, bad, ()),
+        lambda: k_direct(rs, (2,), bad),
+        lambda: k_recurrence_finite(rs, bad, ()),
+        lambda: k_recurrence_finite(rs, (2,), bad),
+        lambda: degree_bounds(rs, bad, ()),
+        lambda: degree_bounds(rs, (1,), bad),
+        lambda: brylinski_dims(rs, bad, (), 1),
+        # brylinski_dims accepts k = -1 (the empty filtration step)
+        lambda: brylinski_dims(rs, (2,), (), k - 1 if isinstance(k, int) else k),
+        lambda: sym_mult_finite(rs, 1, bad),
+        lambda: sym_mult_finite(rs, k, (1,)),
+        lambda: harmonic_char_finite(rs, k),
+        lambda: sym_decomposition_finite(rs, k),
+        lambda: RootSystem("B", rank),
+        lambda: RootSystem("D", rank),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    assert [t.cache_info() for t in tables] == before
+
+
+def _branching_unpruned(family, nu, lam):
+    """branching as the full Littlewood sum over every gamma of the class."""
+    diff = weight(nu) - weight(lam)
+    if diff < 0 or diff % 2:
+        return 0
+    cls = "even_rows" if family == "so" else "even_columns"
+    return sum(
+        lr_coefficient(lam, gamma, nu)
+        for gamma in enumerate_partitions(diff, cls, exact_weight=diff)
+    )
+
+
+def test_containment_pruning_matches_unpruned_sums():
+    """branching skips lam and gamma outside nu, _sym_mult skips nu not
+    containing lam; both against the sums over every gamma and every nu."""
+    nonzero = 0
+    for family in ("so", "sp"):
+        for nu in enumerate_partitions(10):
+            for lam in enumerate_partitions(weight(nu)):
+                want = _branching_unpruned(family, nu, lam)
+                assert branching(family, nu, lam) == want, (family, nu, lam)
+                nonzero += want != 0
+        nu_cls = "even_columns" if family == "so" else "even_rows"
+        for k in range(6):
+            for lam in enumerate_partitions(2 * k):
+                want = sum(
+                    _branching_unpruned(family, nu, lam)
+                    for nu in enumerate_partitions(2 * k, nu_cls, exact_weight=2 * k)
+                )
+                assert sym_mult_stable(family, k, lam) == want, (family, k, lam)
+    assert nonzero > 1000
 
 
 def test_harmonic_finite_matches_q_analogue():

@@ -61,14 +61,15 @@ def test_json_meta_reports_every_memo_table(capsys):
     assert {"lr_entries", "lr_hits"} <= set(stats)
     tables = stats["tables"]
     assert set(tables) == {
-        "rootsystems.rho_doubled", "qkostant._table", "branching.sym_decomposition_finite",
+        "rootsystems.rho_doubled", "qkostant._table", "branching._sym_decomposition",
         "branching._sym_mult", "recurrence._k_finite", "recurrence._k_limit",
-        "pieri._pieri_support", "partitions._partitions_in_class",
+        "recurrence._morris_step", "pieri._pieri_support", "partitions._partitions_in_class",
         "lr.lr_cache", "pieri._memo",
     }
     assert all(set(t) == {"hits", "misses", "size"} for t in tables.values())
     assert tables["recurrence._k_limit"]["size"] > 0
     assert tables["pieri._pieri_support"]["size"] > 0
+    assert tables["recurrence._morris_step"]["size"] > 0
 
 
 def test_usage_errors(capsys):
@@ -158,6 +159,15 @@ def test_verify_hesselink_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "hesselink", "--max-k", "1")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_verify_stable_hesselink_default_grid(capsys):
+    # Morris/Pieri k_limit against Littlewood/LR harmonics, |lam| <= 10, k <= 8
+    code, out, _ = run(capsys, "verify", "--suite", "stable-hesselink")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True and doc["failures"] == []
+    assert doc["checks"] == 2502
 
 
 def test_cache_round_trip(tmp_path):

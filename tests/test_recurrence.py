@@ -6,9 +6,11 @@ harmonic coefficients, and against closed forms for one-row and
 one-column shapes.
 """
 
+from functools import cache
+
 import pytest
 
-from qweyl.branching import harmonic_coeff_stable, sym_decomposition_finite
+from qweyl.branching import _sym_decomposition, harmonic_coeff_stable, sym_decomposition_finite
 from qweyl.partitions import dominates, enumerate_partitions, padded, weight
 from qweyl.pieri import _pieri_support, pieri_expand
 from qweyl.qkostant import k_direct, weight_multiplicity
@@ -18,8 +20,11 @@ from qweyl.recurrence import (
     build_frame,
     degree_bounds,
     _finite_pieri,
+    _frame,
     _k_finite,
     _k_limit,
+    _morris_step,
+    _q_exponent,
     _row_weight_mult,
     k_limit,
     k_recurrence_finite,
@@ -133,7 +138,7 @@ def test_row_weight_mult_matches_direct_sum():
 def test_memo_hits_return_same_object():
     calls = (
         (_k_limit, lambda: k_limit("sp", (3, 1), (1,), 5)),
-        (sym_decomposition_finite, lambda: sym_decomposition_finite(RootSystem("D", 3), 2)),
+        (_sym_decomposition, lambda: sym_decomposition_finite(RootSystem("D", 3), 2)),
         (_k_finite, lambda: k_recurrence_finite(RootSystem("B", 4), (2, 1), (1,))),
     )
     for memo, call in calls:
@@ -212,6 +217,75 @@ def test_limit_memoizes_consistently():
     a = k_limit("so", (2, 2), (), 6)
     b = k_limit("so", (2, 2), (), 4)
     assert a.truncated(4).coeffs == b.coeffs
+
+
+@cache
+def _k_limit_unshared(family, nu, mu, D):
+    """The stable recurrence with its step built inside every (family, nu,
+    mu, D) entry and the shifts above D skipped while it is built."""
+    if not nu and not mu:
+        return QSeries.one(D)
+    is_sp = family == "sp"
+    mu_flat = mu[1:]
+    frame = _frame(nu, mu)
+    measure = weight(nu) + weight(nu[1:])
+    terms = []
+    for s in range(1, frame.p + 1):
+        R_s = frame.R[s - 1]
+        gam = frame.gammas[s - 1]
+        sign = -1 if s % 2 == 0 else 1
+        for a in range(R_s // 2 + 1):
+            r = R_s - 2 * a
+            shift = _q_exponent(is_sp, R_s, r, a)
+            if shift > D:
+                continue
+            for lam, pc in pieri_expand(gam, r).items():
+                if not mu and s == 1 and a == 0 and lam == nu:
+                    continue
+                assert weight(lam) + weight(lam[1:]) < measure, (nu, mu, lam)
+                terms.append((sign * pc, shift, _k_limit_unshared(family, lam, mu_flat, D)))
+    total = QSeries.combination(terms, D)
+    if not mu:
+        total = total.div_one_minus_qm(nu[0], D)
+    return total
+
+
+def _dominated_pairs(max_weight):
+    return [
+        (nu, mu)
+        for nu in enumerate_partitions(max_weight)
+        for mu in enumerate_partitions(weight(nu))
+        if dominates(nu, mu)
+    ]
+
+
+def test_shared_step_matches_unshared_recurrence():
+    pairs = _dominated_pairs(8)
+    nonzero = 0
+    for family in ("so", "sp"):
+        for D in (0, 3, 6):
+            for nu, mu in pairs:
+                want = _k_limit_unshared(family, nu, mu, D)
+                assert k_limit(family, nu, mu, D) == want, (family, nu, mu, D)
+                nonzero += bool(want)
+    assert nonzero > 1000
+
+
+def test_shared_step_does_not_depend_on_call_order():
+    """From empty tables, D = 4 and D = 6 asked in either order give the
+    unshared values and leave the same step entries behind."""
+    pairs = _dominated_pairs(8)
+    sizes = []
+    for order in ((4, 6), (6, 4)):
+        _k_limit.cache_clear()
+        _morris_step.cache_clear()
+        for D in order:
+            for family in ("so", "sp"):
+                for nu, mu in pairs:
+                    want = _k_limit_unshared(family, nu, mu, D)
+                    assert k_limit(family, nu, mu, D) == want, (order, family, nu, mu, D)
+        sizes.append(_morris_step.cache_info().currsize)
+    assert sizes[0] == sizes[1] > 0
 
 
 def test_degree_bounds_examples():
