@@ -167,7 +167,8 @@ def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], in
     Keys are highest weights as integer tuples without trailing zeros;
     in type D the last coordinate may be negative (mirror modules).
     """
-    return _sym_decomposition(rs, check_bound(k, "k"))
+    # a fresh dict per call, so a caller cannot corrupt the memo
+    return dict(_sym_decomposition(rs, check_bound(k, "k")))
 
 
 @cache

@@ -3,9 +3,11 @@ Stable Hall-Littlewood data: the Q'-expansions whose coefficients are the
 limit series K_{lambda,mu}(q), the truncated K-matrix over a window of
 partitions, and the dual P-basis obtained by triangular inversion.
 
-Partitions are ordered by (weight, reverse-lexicographic); in that order
-the K-matrix is upper-unitriangular, so inversion is back substitution
-over truncated series, restricted to the entries that can be nonzero.
+The window lists partitions in (weight, reverse-lexicographic) order.
+K[lam, mu] is 1 on the diagonal and nonzero elsewhere only if
+|mu| <= |lam| and lam dominates mu, so inversion is a triangular solve over
+truncated series in (weight, lexicographic) order; it scatters each nonzero
+entry of the inverse into the rows the K-matrix's support reaches.
 """
 
 __all__ = [
@@ -16,7 +18,7 @@ __all__ = [
 ]
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .branching import CharExpansion
 from .partitions import (
@@ -43,7 +45,8 @@ class TruncatedKMatrix:
     entries: dict[tuple[Partition, Partition], QSeries]
 
     def entry(self, lam: Partition, mu: Partition) -> QSeries:
-        return self.entries.get((lam, mu), QSeries.zero(self.degree))
+        key = (check_partition(lam), check_partition(mu))
+        return self.entries.get(key, QSeries.zero(self.degree))
 
     def matmul(self, other: "TruncatedKMatrix") -> "TruncatedKMatrix":
         if self.index != other.index:
@@ -83,21 +86,19 @@ def qprime_expansion(family: str, mu: Partition, D: int) -> CharExpansion:
     return CharExpansion(family, terms)
 
 
-def _window(weight_bound: int) -> list[Partition]:
-    return enumerate_partitions(weight_bound)
-
-
 def k_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
     """The matrix K_{lam,mu}(q) mod q^{D+1} over the partition window."""
     check_bound(weight_bound, "weight_bound")
     check_bound(D, "D")
-    index = _window(weight_bound)
+    index = enumerate_partitions(weight_bound)
+    sized = [(p, weight(p)) for p in index]
     entries: dict[tuple[Partition, Partition], QSeries] = {}
-    for lam in index:
-        for mu in index:
-            if weight(lam) < weight(mu) or (weight(lam) - weight(mu)) % 2:
-                continue
-            if not dominates(lam, mu):
+    for lam, wl in sized:
+        # the window is sorted by weight, and K[lam, mu] = 0 for |mu| > |lam|
+        for mu, wm in sized:
+            if wm > wl:
+                break
+            if (wl - wm) % 2 or not dominates(lam, mu):
                 continue
             series = k_limit(family, lam, mu, D)
             if series:
@@ -112,19 +113,19 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
     is the identity on rows lam with |lam| + 2D <= weight_bound, where
     the window is support-closed.
 
-    Each column mu is solved only on the rows lam with K[lam, kappa] != 0
-    for some nonzero inv[kappa, mu]; every other entry of the column is
-    provably zero.  Entries are inserted in the same order as by a full
-    back substitution over the window.
+    Each column mu is solved by scattering: once inv[kappa, mu] is final
+    and nonzero, K[lam, kappa] * inv[kappa, mu] is subtracted from the
+    pending coefficient list of every row lam with K[lam, kappa] != 0, so
+    rows that are provably zero are never visited.  Entries are inserted
+    in the same order as by a full back substitution over the window.
     """
     km = k_matrix(family, weight_bound, D)
     index = km.index
-    rows: dict[Partition, list[tuple[Partition, QSeries]]] = {}
-    cols: dict[Partition, list[Partition]] = {}
+    # cols[kappa]: (lam, (degree, coefficient) pairs of K[lam, kappa])
+    cols: dict[Partition, list] = {}
     for (lam, kappa), val in km.entries.items():
         if lam != kappa:
-            rows.setdefault(lam, []).append((kappa, val))
-            cols.setdefault(kappa, []).append(lam)
+            cols.setdefault(kappa, []).append((lam, val.coeffs.items()))
     inv: dict[tuple[Partition, Partition], QSeries] = {}
     # K[lam, kappa] != 0 needs kappa <= lam in (weight, dominance); solve
     # K . inv = I row by row along a linear extension of that order:
@@ -132,29 +133,27 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
     solve_order = sorted(index, key=lambda p: (weight(p), p))
     position = {p: i for i, p in enumerate(solve_order)}
     for mu in index:
-        inv[(mu, mu)] = QSeries.one(D)
-        # a worklist in solve order: a row is pushed only by an earlier row,
-        # so each nonzero inv[kappa, mu] it needs is done when it is popped
-        todo = [position[p] for p in cols.get(mu, ())]
-        heapify(todo)
-        queued = set(todo)
+        # pending[i]: the coefficients of inv[solve_order[i], mu] so far;
+        # a row is pushed only by an earlier row, so every term it needs
+        # has been scattered into it when it is popped
+        pending = {position[mu]: [1] + [0] * D}
+        todo = list(pending)
         while todo:
-            lam = solve_order[heappop(todo)]
-            # -sum K[lam,kappa] inv[kappa,mu], one q^d term of K at a time
-            entry = QSeries.combination(
-                (
-                    (-c, d, inv[(kappa, mu)])
-                    for kappa, kval in rows[lam]
-                    if (kappa, mu) in inv
-                    for d, c in kval.coeffs.items()
-                ),
-                D,
-            )
-            if entry:
-                inv[(lam, mu)] = entry
-                for p in cols.get(lam, ()):
-                    i = position[p]
-                    if i not in queued:
-                        queued.add(i)
-                        heappush(todo, i)
+            i = heappop(todo)
+            terms = [(e, c) for e, c in enumerate(pending.pop(i)) if c]
+            if not terms:
+                continue
+            kappa = solve_order[i]
+            inv[(kappa, mu)] = QSeries(terms, D)
+            for lam, kval in cols.get(kappa, ()):
+                j = position[lam]
+                acc = pending.get(j)
+                if acc is None:
+                    acc = pending[j] = [0] * (D + 1)
+                    heappush(todo, j)
+                for d, c in kval:
+                    for e, v in terms:
+                        if d + e > D:
+                            break
+                        acc[d + e] -= c * v
     return TruncatedKMatrix(family, weight_bound, D, index, inv)

@@ -260,6 +260,16 @@ def test_invalid_finite_inputs_raise_value_error(rs, bad, k, rank):
     assert [t.cache_info() for t in tables] == before
 
 
+def test_editing_a_decomposition_leaves_the_memo_intact():
+    rs = RootSystem("B", 3)
+    want = sym_decomposition_finite(rs, 1)
+    harmonic = harmonic_char_finite(rs, 1).terms
+    assert want and harmonic
+    sym_decomposition_finite(rs, 1).clear()
+    assert sym_decomposition_finite(rs, 1) == want
+    assert harmonic_char_finite(rs, 1).terms == harmonic
+
+
 def _branching_unpruned(family, nu, lam):
     """branching as the full Littlewood sum over every gamma of the class."""
     diff = weight(nu) - weight(lam)

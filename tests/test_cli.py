@@ -170,6 +170,15 @@ def test_verify_stable_hesselink_default_grid(capsys):
     assert doc["checks"] == 2502
 
 
+def test_verify_hl_inverse_default_grid(capsys):
+    # P.K and K.P against the identity, both families, |lam|, |mu| <= 8, D = 4
+    code, out, _ = run(capsys, "verify", "--suite", "hl-inverse")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True and doc["failures"] == []
+    assert doc["checks"] == 2 * 2 * 67**2
+
+
 def test_cache_round_trip(tmp_path):
     path = str(tmp_path / "memo.bin")
     lr.lr_cache.clear()

@@ -85,6 +85,39 @@ def test_qprime_support_bound():
         assert c.low_degree() >= (weight(lam) - 2 + 1) // 2
 
 
+def test_entry_normalises_list_shapes():
+    km = k_matrix("so", 4, 2)
+    assert km.entry([2], [1, 1]) == km.entry((2,), (1, 1)) == QSeries({1: 1}, 2)
+    assert km.entry([2, 0], []) == km.entry((2,), ())
+    with pytest.raises(ValueError):
+        km.entry([1, 2], [])
+
+
+def _k_matrix_all_pairs(family, bound, D):
+    """k_matrix's entries by testing every (lam, mu) pair of the window."""
+    index = enumerate_partitions(bound)
+    entries = {}
+    for lam in index:
+        for mu in index:
+            if weight(lam) < weight(mu) or (weight(lam) - weight(mu)) % 2:
+                continue
+            if not dominates(lam, mu):
+                continue
+            series = k_limit(family, lam, mu, D)
+            if series:
+                entries[(lam, mu)] = series
+    return entries
+
+
+@pytest.mark.parametrize("family", ["so", "sp"])
+@pytest.mark.parametrize("bound, D", [(10, 4), (8, 6)])
+def test_weight_sorted_scan_matches_all_pairs(family, bound, D):
+    # stopping the inner scan at the first |mu| > |lam| loses no entry
+    # and keeps the key order
+    km = k_matrix(family, bound, D)
+    assert list(km.entries.items()) == list(_k_matrix_all_pairs(family, bound, D).items())
+
+
 def test_matmul_index_mismatch():
     with pytest.raises(ValueError):
         k_matrix("so", 4, 2).matmul(k_matrix("so", 2, 2))
@@ -119,7 +152,7 @@ def _dense_back_substitution(km):
 
 
 @pytest.mark.parametrize("family", ["so", "sp"])
-@pytest.mark.parametrize("bound, D", [(6, 3), (8, 6), (10, 4), (12, 3)])
+@pytest.mark.parametrize("bound, D", [(0, 0), (1, 2), (6, 3), (8, 0), (8, 6), (10, 4), (12, 3)])
 def test_pruned_inverse_matches_dense_back_substitution(family, bound, D):
     # the pruned solve skips only entries that are provably zero, and
     # inserts the others in the same order

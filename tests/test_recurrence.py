@@ -136,15 +136,21 @@ def test_row_weight_mult_matches_direct_sum():
 
 
 def test_memo_hits_return_same_object():
+    # the immutable QSeries results are shared; the dict of
+    # sym_decomposition_finite is copied, so a caller cannot edit the memo
     calls = (
-        (_k_limit, lambda: k_limit("sp", (3, 1), (1,), 5)),
-        (_sym_decomposition, lambda: sym_decomposition_finite(RootSystem("D", 3), 2)),
-        (_k_finite, lambda: k_recurrence_finite(RootSystem("B", 4), (2, 1), (1,))),
+        (_k_limit, lambda: k_limit("sp", (3, 1), (1,), 5), True),
+        (_sym_decomposition, lambda: sym_decomposition_finite(RootSystem("D", 3), 2), False),
+        (_k_finite, lambda: k_recurrence_finite(RootSystem("B", 4), (2, 1), (1,)), True),
     )
-    for memo, call in calls:
+    for memo, call, shared in calls:
         first = call()
         hits = memo.cache_info().hits
-        assert call() is first
+        again = call()
+        if shared:
+            assert again is first
+        else:
+            assert again == first and again is not first
         assert memo.cache_info().hits > hits, memo
 
 
