@@ -66,7 +66,7 @@ class CharExpansion:
                     raise ValueError(f"partition {lam} too long for rank {self.rank}")
 
     def coeff(self, lam: Partition) -> QSeries:
-        return self.terms.get(tuple(lam), QSeries.zero())
+        return self.terms.get(check_partition(lam), QSeries.zero())
 
 
 def _check_family(family: str, k: int = 0) -> None:

@@ -4,8 +4,8 @@ and run the cross-checking verification suites.
 
 Partitions are passed as comma-separated parts ("2,1"); the empty string
 is the empty partition.  Exit codes: 0 ok, 1 verification failure,
-2 usage error, invalid input or unreadable/unwritable cache file,
-3 corrupt cache.
+2 usage error or invalid input (one "error: ..." line on stderr).  The
+command keeps no state between runs.
 """
 
 __all__ = ["main"]
@@ -15,18 +15,36 @@ import json
 import sys
 import time
 
-from . import __version__
-from .branching import harmonic_char_finite, harmonic_coeff_stable
-from .cache import CorruptCacheError, cache_load, cache_save, default_cache_path, table_stats
-from .lr import lr_cache_stats
-from .partitions import Partition, check_partition, conjugate, dominates, enumerate_partitions, weight
-from .qkostant import k_direct
+from . import __version__, lr, pieri
+from .branching import _sym_decomposition, _sym_mult, harmonic_char_finite, harmonic_coeff_stable
+from .partitions import (Partition, _partitions_in_class, check_partition, conjugate, dominates,
+                         enumerate_partitions, weight)
+from .qkostant import _table, k_direct
 from .qseries import QSeries
-from .recurrence import degree_bounds, k_limit, k_recurrence_finite
-from .rootsystems import RootSystem
+from .recurrence import _k_finite, _k_limit, _morris_step, degree_bounds, k_limit, k_recurrence_finite
+from .rootsystems import RootSystem, rho_doubled
 from .hall_littlewood import k_matrix, p_basis_matrix
 
-OK, VERIFY_FAILED, USAGE_ERROR, CORRUPT_CACHE = 0, 1, 2, 3
+OK, VERIFY_FAILED, USAGE_ERROR = 0, 1, 2
+
+# held here, so that a wrapper bound over a module attribute later does
+# not hide cache_info()
+_CACHED = (rho_doubled, _table, _sym_decomposition, _sym_mult, _k_finite, _k_limit,
+           _morris_step, pieri._pieri_support, _partitions_in_class)
+
+
+def table_stats() -> dict[str, dict[str, int]]:
+    """{table: {"hits", "misses", "size"}} for every process-wide memo table:
+    the functools.cache functions above and the MemoDict tables
+    lr.lr_cache and pieri._memo, reported in the JSON meta."""
+    out = {}
+    for fn in _CACHED:
+        info = fn.cache_info()
+        name = f"{fn.__module__.removeprefix('qweyl.')}.{fn.__qualname__}"
+        out[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
+    for name, table in (("lr.lr_cache", lr.lr_cache), ("pieri._memo", pieri._memo)):
+        out[name] = {"hits": table.hits, "misses": table.misses, "size": len(table)}
+    return out
 
 
 def parse_partition(text: str) -> Partition:
@@ -44,7 +62,6 @@ def _result(lam, mu, series: QSeries) -> dict:
 
 
 def _emit_json(command: str, params: dict, results: list[dict], t0: float) -> str:
-    entries, hits = lr_cache_stats()
     return json.dumps(
         {
             "command": command,
@@ -52,8 +69,7 @@ def _emit_json(command: str, params: dict, results: list[dict], t0: float) -> st
             "results": results,
             "meta": {
                 "versions": {"qweyl": __version__},
-                "cache_stats": {"lr_entries": entries, "lr_hits": hits,
-                                "tables": table_stats()},
+                "cache_stats": {"tables": table_stats()},
                 "wall_ms": int((time.perf_counter() - t0) * 1000),
             },
         },
@@ -99,29 +115,22 @@ def cmd_k(args) -> int:
 
 def cmd_table(args) -> int:
     t0 = time.perf_counter()
-    computed = sorted(
-        (lam, mu, k_limit(args.family, lam, mu, args.trunc).pairs())
-        for lam in enumerate_partitions(args.max_weight)
-        for mu in enumerate_partitions(weight(lam))
-        if dominates(lam, mu) and (weight(lam) - weight(mu)) % 2 == 0
-    )
-    rows = [(lam, mu, pairs) for lam, mu, pairs in computed if pairs]
+    rows = sorted(k_matrix(args.family, args.max_weight, args.trunc).entries.items())
     params = {"family": args.family, "max_weight": args.max_weight, "trunc": args.trunc}
     if args.format == "json":
-        results = [{"lambda": list(l), "mu": list(m), "coeffs": p} for l, m, p in rows]
+        results = [_result(lam, mu, series) for (lam, mu), series in rows]
         print(_emit_json("table", params, results, t0))
     elif args.format == "csv":
         print("lambda,mu,series")
-        for lam, mu, pairs in rows:
-            s = str(QSeries(dict(pairs), args.trunc))
-            print('"%s","%s","%s"' % (",".join(map(str, lam)), ",".join(map(str, mu)), s))
+        for (lam, mu), series in rows:
+            print('"%s","%s","%s"' % (",".join(map(str, lam)), ",".join(map(str, mu)), series))
     else:  # latex
         print(r"\begin{tabular}{lll}")
         print(r"$\lambda$ & $\mu$ & $K_{\lambda,\mu}(q)$ \\ \hline")
-        for lam, mu, pairs in rows:
+        for (lam, mu), series in rows:
             body = " + ".join(
                 (str(c) if d == 0 else ("q" if c == 1 else f"{c}q") + (f"^{{{d}}}" if d > 1 else ""))
-                for d, c in pairs
+                for d, c in series.pairs()
             )
             print(r"$(%s)$ & $(%s)$ & $%s$ \\" % (
                 ",".join(map(str, lam)), ",".join(map(str, mu)), body))
@@ -194,8 +203,9 @@ def _suite_stable_hesselink(args):
     return checks, fails
 
 
-def _suite_degrees(args):
-    fails, checks = [], 0
+def _finite_pairs(args):
+    """(rs, nu, mu) over B/C/D at ranks 2..max_rank, |nu| <= max_weight,
+    nu dominating mu and both within the rank."""
     for kind in "BCD":
         for rank in range(2, args.max_rank + 1):
             rs = RootSystem(kind, rank)
@@ -203,33 +213,30 @@ def _suite_degrees(args):
                 if len(nu) > rank:
                     continue
                 for mu in enumerate_partitions(weight(nu)):
-                    if len(mu) > rank or not dominates(nu, mu):
-                        continue
-                    series = k_direct(rs, nu, mu)
-                    if not series:
-                        continue
-                    lo, hi = degree_bounds(rs, nu, mu)
-                    checks += 1
-                    if series.low_degree() < lo or series.degree() != hi or series[hi] != 1:
-                        fails.append({"rs": str(rs), "nu": list(nu), "mu": list(mu),
-                                      "window": [lo, hi], "series": series.pairs()})
+                    if len(mu) <= rank and dominates(nu, mu):
+                        yield rs, nu, mu
+
+
+def _suite_degrees(args):
+    fails, checks = [], 0
+    for rs, nu, mu in _finite_pairs(args):
+        series = k_direct(rs, nu, mu)
+        if not series:
+            continue
+        lo, hi = degree_bounds(rs, nu, mu)
+        checks += 1
+        if series.low_degree() < lo or series.degree() != hi or series[hi] != 1:
+            fails.append({"rs": str(rs), "nu": list(nu), "mu": list(mu),
+                          "window": [lo, hi], "series": series.pairs()})
     return checks, fails
 
 
 def _suite_pieri_oracle(args):
     fails, checks = [], 0
-    for kind in "BCD":
-        for rank in range(2, args.max_rank + 1):
-            rs = RootSystem(kind, rank)
-            for nu in enumerate_partitions(args.max_weight):
-                if len(nu) > rank:
-                    continue
-                for mu in enumerate_partitions(weight(nu)):
-                    if len(mu) > rank or not dominates(nu, mu):
-                        continue
-                    checks += 1
-                    if k_recurrence_finite(rs, nu, mu) != k_direct(rs, nu, mu):
-                        fails.append({"rs": str(rs), "nu": list(nu), "mu": list(mu)})
+    for rs, nu, mu in _finite_pairs(args):
+        checks += 1
+        if k_recurrence_finite(rs, nu, mu) != k_direct(rs, nu, mu):
+            fails.append({"rs": str(rs), "nu": list(nu), "mu": list(mu)})
     return checks, fails
 
 
@@ -284,8 +291,6 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qweyl", description=__doc__)
-    top.add_argument("--cache", default=default_cache_path(),
-                     help="cache file to load before and save after the command")
     sub = top.add_subparsers(dest="command", required=True)
 
     k = sub.add_parser("k", help="one K-polynomial (finite rank) or K-series (stable)")
@@ -319,15 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.cache:
-            cache_load(args.cache)
-        code = args.fn(args)
-        if args.cache and code == OK:
-            cache_save(args.cache)
-        return code
-    except CorruptCacheError as exc:
-        print(f"corrupt cache: {exc}", file=sys.stderr)
-        return CORRUPT_CACHE
+        return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

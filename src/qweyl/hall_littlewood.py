@@ -51,20 +51,20 @@ class TruncatedKMatrix:
     def matmul(self, other: "TruncatedKMatrix") -> "TruncatedKMatrix":
         if self.index != other.index:
             raise ValueError("incompatible index sets")
-        cols: dict[Partition, list[Partition]] = {}
-        for (a, b) in other.entries:
-            cols.setdefault(a, []).append(b)
-        prod: dict[tuple[Partition, Partition], QSeries] = {}
+        rows: dict[Partition, list] = {}
+        for (kappa, mu), right in other.entries.items():
+            rows.setdefault(kappa, []).append((mu, right))
+        # terms[lam, mu]: one (c, d, other[kappa, mu]) per c q^d of self[lam, kappa]
+        terms: dict[tuple[Partition, Partition], list] = {}
         for (lam, kappa), left in self.entries.items():
-            for mu in cols.get(kappa, ()):
-                term = left * other.entries[(kappa, mu)]
-                if term:
-                    cur = prod.get((lam, mu))
-                    acc = term if cur is None else cur + term
-                    if acc:
-                        prod[(lam, mu)] = acc
-                    elif cur is not None:
-                        del prod[(lam, mu)]
+            for mu, right in rows.get(kappa, ()):
+                terms.setdefault((lam, mu), []).extend(
+                    (c, d, right) for d, c in left.coeffs.items())
+        prod = {}
+        for key, ts in terms.items():
+            entry = QSeries.combination(ts, self.degree)
+            if entry:
+                prod[key] = entry
         return TruncatedKMatrix(
             self.family, self.weight_bound, self.degree, self.index, prod
         )

@@ -21,6 +21,7 @@ from .lr import MemoDict
 from .partitions import (
     Partition,
     add_horizontal_strips,
+    check_bound,
     check_partition,
     is_horizontal_strip,
     remove_horizontal_strips,
@@ -32,8 +33,7 @@ _memo = MemoDict()  # {(gamma, l, lam): p^lam_{gamma,l}}
 
 def stable_pieri(gamma: Partition, l: int, lam: Partition) -> int:
     """The stable Pieri coefficient p^lam_{gamma,l}."""
-    if l < 0:
-        raise ValueError("l must be >= 0")
+    check_bound(l, "l")
     gamma, lam = check_partition(gamma), check_partition(lam)
     drop = weight(gamma) + l - weight(lam)
     if drop < 0 or drop % 2:
@@ -58,8 +58,7 @@ def stable_pieri(gamma: Partition, l: int, lam: Partition) -> int:
 
 def pieri_expand(gamma: Partition, l: int) -> dict[Partition, int]:
     """Full support {lam: p^lam_{gamma,l}} of V(gamma) (x) V(l)."""
-    if l < 0:
-        raise ValueError("l must be >= 0")
+    check_bound(l, "l")
     # a fresh dict per call, so a caller cannot corrupt the memo
     return dict(_pieri_support(check_partition(gamma), l))
 

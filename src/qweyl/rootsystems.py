@@ -286,7 +286,7 @@ def weyl_dim(rs: RootSystem, lam) -> int:
 
     n = rs.rank
     rd = rho_doubled(rs)
-    lp = padded(tuple(lam), n)
+    lp = padded(check_dominant(rs, lam), n)
     num = tuple(2 * a + r for a, r in zip(lp, rd))
     val = Fraction(1)
     for alpha in positive_roots(rs):

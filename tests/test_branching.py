@@ -26,7 +26,9 @@ from qweyl.branching import (
 )
 from qweyl.hall_littlewood import k_matrix, p_basis_matrix, qprime_expansion
 from qweyl.lr import lr_coefficient
+from qweyl import pieri
 from qweyl.partitions import conjugate, enumerate_partitions, weight
+from qweyl.pieri import _pieri_support, pieri_expand, stable_pieri
 from qweyl.qkostant import _table, k_direct
 from qweyl.qseries import QSeries
 from qweyl.recurrence import _k_finite, brylinski_dims, degree_bounds, k_limit, k_recurrence_finite
@@ -220,10 +222,17 @@ def test_invalid_shapes_raise_value_error(bad, family, k):
         lambda: k_matrix("so", k, 1),
         lambda: p_basis_matrix("so", 2, k),
         lambda: qprime_expansion("so", (1,), k),
+        lambda: stable_pieri((1,), k, (2,)),
+        lambda: stable_pieri((1,), 1, bad),
+        lambda: pieri_expand((1,), k),
+        lambda: pieri_expand(bad, 1),
     ]
+    pieri_before = (dict(pieri._memo), _pieri_support.cache_info())
     for call in calls:
         with pytest.raises(ValueError):
             call()
+    # a rejected row length never reaches either Pieri memo
+    assert (dict(pieri._memo), _pieri_support.cache_info()) == pieri_before
 
 
 # a shape too long for D5 is rejected for its length, a shorter one cannot
@@ -251,6 +260,7 @@ def test_invalid_finite_inputs_raise_value_error(rs, bad, k, rank):
         lambda: sym_mult_finite(rs, k, (1,)),
         lambda: harmonic_char_finite(rs, k),
         lambda: sym_decomposition_finite(rs, k),
+        lambda: weyl_dim(rs, bad),
         lambda: RootSystem("B", rank),
         lambda: RootSystem("D", rank),
     ]
@@ -342,3 +352,13 @@ def test_char_expansion_validation():
         CharExpansion("so", {(1, 1, 1): QSeries.one()}, rank=2)
     # zero coefficients are dropped
     assert CharExpansion("so", {(1,): QSeries.zero()}).terms == {}
+
+
+def test_char_expansion_coeff_normalises_its_shape():
+    ch = sym_char_stable("so", 1)
+    assert ch.terms == {(1, 1): QSeries.monomial(1)}
+    assert ch.coeff((1, 1, 0)) == ch.coeff([1, 1]) == ch.coeff((1, 1)) == QSeries.monomial(1)
+    assert ch.coeff((2,)) == QSeries.zero()
+    for bad in ((1, 2), (1, -1), (1.5,)):
+        with pytest.raises(ValueError):
+            ch.coeff(bad)

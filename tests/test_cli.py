@@ -1,16 +1,21 @@
-"""Command-line interface and the persistent cache, exercised in-process."""
+"""Command-line interface and the library's persistent cache, exercised in-process."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qweyl import lr, pieri
 from qweyl.cache import CorruptCacheError, cache_load, cache_save
-from qweyl.cli import main, parse_partition
+from qweyl.cli import _SUITES, main, parse_partition
+from qweyl.partitions import dominates, enumerate_partitions, weight
+from qweyl.recurrence import k_limit
 
 
 def run(capsys, *argv):
-    code = main(["--cache", "", *argv])
+    code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -58,7 +63,7 @@ def test_json_meta_reports_every_memo_table(capsys):
     )
     assert code == 0
     stats = json.loads(out)["meta"]["cache_stats"]
-    assert {"lr_entries", "lr_hits"} <= set(stats)
+    assert set(stats) == {"tables"}
     tables = stats["tables"]
     assert set(tables) == {
         "rootsystems.rho_doubled", "qkostant._table", "branching._sym_decomposition",
@@ -96,19 +101,91 @@ def test_usage_errors(capsys):
         assert "Traceback" not in err
 
 
-def test_cache_path_errors_exit_2(tmp_path, capsys):
-    # the result is printed; saving into a missing directory then fails
-    code = main(["--cache", str(tmp_path / "no" / "c.bin"),
-                 "k", "--family", "so", "--lam", "2", "--trunc", "3"])
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert out.strip() == "q^2"
-    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
-    # a directory in place of the cache file fails on loading
-    code = main(["--cache", str(tmp_path), "k", "--type", "C", "--rank", "2", "--lam", "2"])
-    out, err = capsys.readouterr()
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+def test_cache_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache", "memo.bin", "k", "--type", "C", "--rank", "2", "--lam", "2"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+_numbers = st.integers(-1, 4).map(str)
+_shapes = st.one_of(
+    st.lists(st.integers(0, 4), max_size=3).map(lambda p: sorted(p, reverse=True)),
+    st.lists(st.integers(-1, 4), max_size=3),
+).map(lambda p: ",".join(map(str, p))) | st.sampled_from(["1.5", "a", "2,,1", " ", "0,1"])
+_families = st.sampled_from(["so", "sp", "gl"])
+_OPTIONS = {
+    "k": {
+        "--type": st.sampled_from("BCDA"), "--rank": _numbers, "--family": _families,
+        "--lam": _shapes, "--mu": _shapes, "--trunc": _numbers,
+        "--method": st.sampled_from(["direct", "recurrence"]),
+        "--format": st.sampled_from(["text", "json", "csv"]),
+    },
+    "table": {
+        "--family": _families, "--max-weight": _numbers, "--trunc": _numbers,
+        "--format": st.sampled_from(["json", "csv", "latex", "text"]),
+    },
+    "verify": {
+        "--suite": st.sampled_from(sorted(_SUITES) + ["none"]), "--max-weight": _numbers,
+        "--max-rank": _numbers, "--max-k": _numbers, "--trunc": _numbers,
+    },
+}
+
+
+_REQUIRED = {"k": ["--lam"], "table": ["--family", "--max-weight", "--trunc"], "verify": ["--suite"]}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[command]
+    names = draw(st.lists(st.sampled_from(sorted(options)), unique=True))
+    if draw(st.booleans()):  # so that about half the draws get past argparse
+        names = _REQUIRED[command] + [n for n in names if n not in _REQUIRED[command]]
+    argv = [command]
+    for name in names:
+        argv += [name, draw(options[name])]
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(_argv())
+def test_random_argv_exit_codes(argv):
+    # 0 ok, 1 failed verification, 2 error; argparse exits 0 or 2
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 2), (argv, exc.code)
+            return
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+
+def _table_all_pairs(family, max_weight, trunc):
+    """The JSON results of `table` by scanning every dominated, even-gap pair."""
+    computed = sorted(
+        (lam, mu, k_limit(family, lam, mu, trunc).pairs())
+        for lam in enumerate_partitions(max_weight)
+        for mu in enumerate_partitions(weight(lam))
+        if dominates(lam, mu) and (weight(lam) - weight(mu)) % 2 == 0
+    )
+    return [{"lambda": list(l), "mu": list(m), "coeffs": [list(t) for t in p]}
+            for l, m, p in computed if p]
+
+
+@pytest.mark.parametrize("family", ["so", "sp"])
+@pytest.mark.parametrize("max_weight, trunc", [(6, 3), (8, 5)])
+def test_table_results_match_all_pairs_scan(capsys, family, max_weight, trunc):
+    code, out, _ = run(
+        capsys, "table", "--family", family, "--max-weight", str(max_weight),
+        "--trunc", str(trunc),
+    )
+    assert code == 0
+    assert json.loads(out)["results"] == _table_all_pairs(family, max_weight, trunc)
 
 
 def test_interior_zero_partition_is_a_usage_error(capsys):
@@ -218,21 +295,3 @@ def test_cache_corruption_detected(tmp_path):
         fh.write(b"NOTAFILE" + blob[8:])
     with pytest.raises(CorruptCacheError):
         cache_load(path)
-
-
-def test_cli_corrupt_cache_exit_code(tmp_path, capsys):
-    path = str(tmp_path / "memo.bin")
-    with open(path, "wb") as fh:
-        fh.write(b"garbage")
-    code = main(["--cache", path, "k", "--type", "C", "--rank", "2", "--lam", "2"])
-    _, err = capsys.readouterr()
-    assert code == 3
-    assert "corrupt cache" in err
-
-
-def test_cli_writes_cache(tmp_path, capsys):
-    path = str(tmp_path / "memo.bin")
-    code = main(["--cache", path, "k", "--family", "so", "--lam", "2", "--trunc", "3"])
-    capsys.readouterr()
-    assert code == 0
-    cache_load(path)  # round-trips cleanly

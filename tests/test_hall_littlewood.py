@@ -118,6 +118,31 @@ def test_weight_sorted_scan_matches_all_pairs(family, bound, D):
     assert list(km.entries.items()) == list(_k_matrix_all_pairs(family, bound, D).items())
 
 
+def _naive_product(a, b):
+    """a . b over every (lam, kappa, mu) triple of the window, by QSeries * and +."""
+    prod = {}
+    for lam in a.index:
+        for mu in a.index:
+            acc = QSeries.zero(a.degree)
+            for kappa in a.index:
+                left, right = a.entries.get((lam, kappa)), b.entries.get((kappa, mu))
+                if left is not None and right is not None:
+                    acc = acc + left * right
+            if acc:
+                prod[(lam, mu)] = acc
+    return prod
+
+
+@pytest.mark.parametrize("family", ["so", "sp"])
+@pytest.mark.parametrize("bound, D", [(6, 3), (7, 0), (5, 5)])
+def test_matmul_matches_naive_product(family, bound, D):
+    km, pm = k_matrix(family, bound, D), p_basis_matrix(family, bound, D)
+    for a, b in ((km, pm), (pm, km), (km, km)):
+        prod = a.matmul(b)
+        assert prod.degree == D and prod.index == km.index
+        assert prod.entries == _naive_product(a, b)
+
+
 def test_matmul_index_mismatch():
     with pytest.raises(ValueError):
         k_matrix("so", 4, 2).matmul(k_matrix("so", 2, 2))
