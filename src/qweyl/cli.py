@@ -17,8 +17,8 @@ import time
 
 from . import __version__, lr, pieri
 from .branching import _sym_decomposition, _sym_mult, harmonic_char_finite, harmonic_coeff_stable
-from .partitions import (Partition, _partitions_in_class, check_partition, conjugate, dominates,
-                         enumerate_partitions, weight)
+from .partitions import (Partition, _partitions_in_class, check_bound, check_partition, conjugate,
+                         dominates, enumerate_partitions, weight)
 from .qkostant import _table, k_direct
 from .qseries import QSeries
 from .recurrence import _k_finite, _k_limit, _morris_step, degree_bounds, k_limit, k_recurrence_finite
@@ -90,18 +90,24 @@ def cmd_k(args) -> int:
         if args.trunc is None:
             print("error: --family needs --trunc (the series is infinite)", file=sys.stderr)
             return USAGE_ERROR
+        if args.rank is not None or args.method is not None:
+            print("error: --rank and --method apply only to --type", file=sys.stderr)
+            return USAGE_ERROR
         series = k_limit(args.family, args.lam, args.mu, args.trunc)
         params = {"family": args.family, "trunc": args.trunc}
     else:
         if args.rank is None:
             print("error: --type needs --rank", file=sys.stderr)
             return USAGE_ERROR
+        if args.trunc is not None:
+            print("error: --trunc applies only to --family", file=sys.stderr)
+            return USAGE_ERROR
         rs = RootSystem(args.type, args.rank)
         if args.method == "recurrence":
             series = k_recurrence_finite(rs, args.lam, args.mu)
         else:
             series = k_direct(rs, args.lam, args.mu)
-        params = {"type": args.type, "rank": args.rank, "method": args.method}
+        params = {"type": args.type, "rank": args.rank, "method": args.method or "direct"}
     if args.format == "json":
         params.update({"lambda": list(args.lam), "mu": list(args.mu)})
         print(_emit_json("k", params, [_result(args.lam, args.mu, series)], t0))
@@ -242,7 +248,7 @@ def _suite_pieri_oracle(args):
 
 def _suite_hl_inverse(args):
     # the truncated window's inverse is two-sided: P.K = K.P = I entrywise
-    fails, checks = [], 0
+    fails, checks, zero = [], 0, QSeries.zero()
     for family in ("so", "sp"):
         km = k_matrix(family, args.max_weight, args.trunc)
         pm = p_basis_matrix(family, args.max_weight, args.trunc)
@@ -251,7 +257,8 @@ def _suite_hl_inverse(args):
                 for mu in km.index:
                     checks += 1
                     want = {0: 1} if lam == mu else {}
-                    if prod.entry(lam, mu).coeffs != want:
+                    # entries, not entry(): the window's shapes need no re-validation
+                    if prod.entries.get((lam, mu), zero).coeffs != want:
                         fails.append({"family": family, "product": product,
                                       "lambda": list(lam), "mu": list(mu)})
     return checks, fails
@@ -266,15 +273,26 @@ _SUITES = {
     "pieri-oracle": (_suite_pieri_oracle, {"max_weight": 4, "max_rank": 4}),
     "hl-inverse": (_suite_hl_inverse, {"max_weight": 8, "trunc": 4}),
 }
+# every verify option with its least value
+_VERIFY_BOUNDS = {"max_weight": 0, "max_rank": 2, "max_k": 0, "trunc": 0}
 
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     fn, defaults = _SUITES[args.suite]
-    for name, val in defaults.items():
-        if getattr(args, name, None) is None:
-            setattr(args, name, val)
+    for name, low in _VERIFY_BOUNDS.items():
+        flag, value = "--" + name.replace("_", "-"), getattr(args, name)
+        if value is None:
+            setattr(args, name, defaults.get(name))
+        elif name not in defaults:
+            print(f"error: {flag} does not apply to suite {args.suite}", file=sys.stderr)
+            return USAGE_ERROR
+        else:
+            check_bound(value, flag, low)
     checks, fails = fn(args)
+    if not checks:
+        print(f"error: suite {args.suite} makes no check with these options", file=sys.stderr)
+        return USAGE_ERROR
     report = {
         "suite": args.suite,
         "checks": checks,
@@ -300,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--lam", type=parse_partition, required=True)
     k.add_argument("--mu", type=parse_partition, default=())
     k.add_argument("--trunc", type=int)
-    k.add_argument("--method", choices=("direct", "recurrence"), default="direct")
+    k.add_argument("--method", choices=("direct", "recurrence"))
     k.add_argument("--format", choices=("text", "json"), default="text")
     k.set_defaults(fn=cmd_k)
 
@@ -313,10 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    v.add_argument("--max-weight", type=int)
-    v.add_argument("--max-rank", type=int)
-    v.add_argument("--max-k", type=int)
-    v.add_argument("--trunc", type=int)
+    for name in _VERIFY_BOUNDS:
+        v.add_argument("--" + name.replace("_", "-"), type=int)
     v.set_defaults(fn=cmd_verify)
     return top
 

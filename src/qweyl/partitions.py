@@ -186,7 +186,7 @@ def enumerate_partitions(
     if cls not in ("all", "even_rows", "even_columns"):
         raise ValueError(f"unknown partition class {cls!r}")
     if exact_weight is not None:
-        return list(_partitions_in_class(exact_weight, cls))
+        return list(_partitions_in_class(check_bound(exact_weight, "exact_weight"), cls))
     out: list[Partition] = []
     for k in range(max_weight + 1):
         out.extend(_partitions_in_class(k, cls))

@@ -3,9 +3,10 @@ Sparse polynomials / truncated formal power series in q with exact
 integer coefficients.
 
 A QSeries is a map degree -> coefficient plus an optional truncation
-bound D.  With D set, the series is only known modulo q^(D+1); arithmetic
-between two truncated series truncates at the smaller bound.  Without D
-the series is an exact polynomial.
+bound D, an integer >= 0.  With D set, the series is only known modulo
+q^(D+1); arithmetic between two truncated series truncates at the smaller
+bound.  Without D the series is an exact polynomial.  That rule lives in
+`QSeries.combination` alone: every arithmetic operator is one call of it.
 """
 
 __all__ = ["QSeries"]
@@ -13,20 +14,13 @@ __all__ = ["QSeries"]
 from typing import Optional
 
 
-def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 class QSeries:
     __slots__ = ("coeffs", "trunc")
 
     def __init__(self, coeffs=None, trunc: Optional[int] = None):
-        if trunc is not None and trunc < 0:
-            raise ValueError("truncation bound must be >= 0")
+        # the rule of partitions.check_bound, inlined: this is a hot path
+        if trunc is not None and not (isinstance(trunc, int) and trunc >= 0):
+            raise ValueError(f"truncation bound must be an integer >= 0, got {trunc!r}")
         cc = {}
         if coeffs:
             for d, c in coeffs.items() if isinstance(coeffs, dict) else coeffs:
@@ -106,39 +100,28 @@ class QSeries:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        t = _min_trunc(self.trunc, other.trunc)
-        cc = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            cc[d] = cc.get(d, 0) + c
-        return QSeries(cc, t)
+        return QSeries.combination([(1, 0, self), (1, 0, other)])
 
     def __neg__(self) -> "QSeries":
-        return QSeries({d: -c for d, c in self.coeffs.items()}, self.trunc)
+        return QSeries.combination([(-1, 0, self)])
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
+        return QSeries.combination([(1, 0, self), (-1, 0, other)])
 
     def __mul__(self, other: "QSeries") -> "QSeries":
-        t = _min_trunc(self.trunc, other.trunc)
-        cc: dict[int, int] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                if t is not None and d > t:
-                    continue
-                cc[d] = cc.get(d, 0) + c1 * c2
-        return QSeries(cc, t)
+        # the zero-factor term carries other's bound when self has no terms
+        terms = [(0, 0, other)] + [(c, d, other) for d, c in self.coeffs.items()]
+        return QSeries.combination(terms, self.trunc)
 
     def scale(self, k: int) -> "QSeries":
-        return QSeries({d: k * c for d, c in self.coeffs.items()}, self.trunc)
+        return QSeries.combination([(k, 0, self)])
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q^k."""
-        return QSeries({d + k: c for d, c in self.coeffs.items()}, self.trunc)
+        return QSeries.combination([(1, k, self)])
 
     def truncated(self, trunc: Optional[int]) -> "QSeries":
-        t = _min_trunc(self.trunc, trunc)
-        return QSeries(self.coeffs, t)
+        return QSeries.combination([(1, 0, self)], trunc)
 
     def div_one_minus_qm(self, m: int, trunc: Optional[int] = None) -> "QSeries":
         """Multiply by the geometric series 1/(1 - q^m), truncated.
@@ -150,16 +133,11 @@ class QSeries:
             raise ZeroDivisionError("division by 1 - q^0 = 0")
         if m < 0:
             raise ValueError("m must be >= 1")
-        t = _min_trunc(self.trunc, trunc)
+        t = min((b for b in (self.trunc, trunc) if b is not None), default=None)
         if t is None:
             raise ValueError("division by 1 - q^m needs a truncation bound")
-        cc: dict[int, int] = {}
-        for d, c in self.coeffs.items():
-            e = d
-            while e <= t:
-                cc[e] = cc.get(e, 0) + c
-                e += m
-        return QSeries(cc, t)
+        # int(t): a non-integral bound reaches the constructor, which rejects it
+        return QSeries.combination([(1, j * m, self) for j in range(int(t) // m + 1)], t)
 
     # -- rendering ----------------------------------------------------
 

@@ -27,7 +27,7 @@ from qweyl.branching import (
 from qweyl.hall_littlewood import k_matrix, p_basis_matrix, qprime_expansion
 from qweyl.lr import lr_coefficient
 from qweyl import pieri
-from qweyl.partitions import conjugate, enumerate_partitions, weight
+from qweyl.partitions import _partitions_in_class, conjugate, enumerate_partitions, weight
 from qweyl.pieri import _pieri_support, pieri_expand, stable_pieri
 from qweyl.qkostant import _table, k_direct
 from qweyl.qseries import QSeries
@@ -233,6 +233,11 @@ def test_invalid_shapes_raise_value_error(bad, family, k):
             call()
     # a rejected row length never reaches either Pieri memo
     assert (dict(pieri._memo), _pieri_support.cache_info()) == pieri_before
+    # a rejected exact weight never reaches the partition memo
+    partitions_before = _partitions_in_class.cache_info()
+    with pytest.raises(ValueError):
+        enumerate_partitions(4, "all", k)
+    assert _partitions_in_class.cache_info() == partitions_before
 
 
 # a shape too long for D5 is rejected for its length, a shorter one cannot

@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qweyl import lr, pieri
+from qweyl import cli, lr, pieri
 from qweyl.cache import CorruptCacheError, cache_load, cache_save
 from qweyl.cli import _SUITES, main, parse_partition
 from qweyl.partitions import dominates, enumerate_partitions, weight
@@ -94,6 +94,17 @@ def test_usage_errors(capsys):
     for argv in (
         ("k", "--family", "so", "--lam", "2", "--trunc", "-1"),
         ("table", "--family", "so", "--max-weight", "-1", "--trunc", "3"),
+        # an option that does not apply to the mode or suite, or is out of range
+        ("k", "--family", "so", "--lam", "2", "--trunc", "3", "--rank", "-1",
+         "--method", "recurrence"),
+        ("k", "--family", "so", "--lam", "2", "--trunc", "3", "--method", "direct"),
+        ("k", "--type", "B", "--rank", "3", "--lam", "2", "--trunc", "-5"),
+        ("verify", "--suite", "duality", "--max-rank", "-1"),
+        ("verify", "--suite", "degrees", "--max-rank", "-1"),
+        ("verify", "--suite", "degrees", "--max-rank", "1"),
+        ("verify", "--suite", "stability", "--max-k", "-3"),
+        # a grid with no check in it
+        ("verify", "--suite", "stability", "--max-weight", "0", "--max-k", "0"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
@@ -254,6 +265,38 @@ def test_verify_hl_inverse_default_grid(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True and doc["failures"] == []
     assert doc["checks"] == 2 * 2 * 67**2
+
+
+def test_verify_suites_keep_their_default_check_counts(capsys):
+    counts = {"duality": 30, "stability": 121, "hesselink": 29, "stable-hesselink": 2502,
+              "degrees": 236, "pieri-oracle": 537, "hl-inverse": 17956}
+    assert set(counts) == set(_SUITES)
+    for suite, checks in counts.items():
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"] is True, suite
+        assert doc["checks"] == checks, suite
+
+
+def test_verify_hl_inverse_reports_failures(capsys, monkeypatch):
+    # with P replaced by K both products are K.K, which is not the identity
+    monkeypatch.setattr(cli, "p_basis_matrix", cli.k_matrix)
+    code, out, _ = run(capsys, "verify", "--suite", "hl-inverse", "--max-weight", "4",
+                       "--trunc", "3")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False and doc["failures"]
+    assert all(set(f) == {"family", "product", "lambda", "mu"} for f in doc["failures"])
+    assert {(f["family"], f["product"]) for f in doc["failures"]} == {
+        (family, product) for family in ("so", "sp") for product in ("PK", "KP")}
+
+
+def test_k_json_params_name_the_default_method(capsys):
+    for argv, method in (((), "direct"), (("--method", "recurrence"), "recurrence")):
+        code, out, _ = run(capsys, "k", "--type", "B", "--rank", "3", "--lam", "2",
+                           "--format", "json", *argv)
+        assert code == 0
+        assert json.loads(out)["params"]["method"] == method
 
 
 def test_cache_round_trip(tmp_path):
