@@ -1,7 +1,7 @@
 """
 Littlewood branching coefficients, graded multiplicities of the symmetric
-algebra S(g), harmonic characters, and the conjugation involution phi on
-universal so/sp characters.
+algebra S(g), harmonic characters, the specialisation of universal so/sp
+characters to a finite rank, and the conjugation involution phi on them.
 
 This is the second, independent route to K_{lambda,empty}(q): the finite
 harmonic character is obtained by decomposing S^a(g) directly from its
@@ -16,6 +16,7 @@ __all__ = [
     "branching",
     "sym_mult_stable",
     "sym_char_stable",
+    "specialise",
     "sym_decomposition_finite",
     "sym_mult_finite",
     "harmonic_coeff_stable",
@@ -126,6 +127,39 @@ def sym_char_stable(family: str, k: int) -> CharExpansion:
         if m:
             terms[lam] = QSeries.monomial(k, m)
     return CharExpansion(family, terms)
+
+
+def specialise(expansion: dict[Partition, int], rs: RootSystem) -> dict[tuple[int, ...], int]:
+    """Specialise a sum {lam: m} of universal characters (so basis for B
+    and D, sp basis for C) to the irreducible characters of rs by the
+    modification rules (Koike-Terada 1987; King 1971).  With N = 2n+1,
+    2n+2 or 2n (B, C, D), while l(lam) > n the bead at h = 2 l(lam) - N of
+    beta_i = lam_i + l(lam) - i moves to 0: no bead at h gives 0, and the
+    strip removed, over c = h - #{beta_j < h} columns, has sign (-1)^c for
+    sp and (-1)^(c-1) for so.  Keys follow sym_decomposition_finite: no
+    trailing zeros, and in type D a key of length n adds its mirror key.
+    """
+    n = rs.rank
+    N = 2 * n + {"B": 1, "C": 2, "D": 0}[rs.kind]
+    flip = 0 if rs.kind == "C" else 1
+    out: dict[tuple[int, ...], int] = {}
+    for lam, m in expansion.items():
+        lam = check_partition(lam)
+        while m and len(lam) > n:
+            l, h = len(lam), 2 * len(lam) - N
+            beta = [p + l - i for i, p in enumerate(lam, 1)]
+            if h not in beta:
+                m = 0
+                break
+            if (h - sum(b < h for b in beta) + flip) % 2:
+                m = -m
+            beta = sorted([b for b in beta if b != h] + [0], reverse=True)
+            lam = tuple(p for p in (b - l + i for i, b in enumerate(beta, 1)) if p)
+        out[lam] = out.get(lam, 0) + m
+        if rs.kind == "D" and len(lam) == n:
+            mirror = lam[:-1] + (-lam[-1],)
+            out[mirror] = out.get(mirror, 0) + m
+    return {lam: c for lam, c in out.items() if c}
 
 
 # -- finite rank: decompose S^k(g) from its weight system ---------------

@@ -21,13 +21,13 @@ __all__ = [
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb
 
+from .branching import specialise
 from .partitions import Partition, check_bound, check_partition, padded, weight
 from .pieri import pieri_expand
 from .qkostant import k_direct
 from .qseries import QSeries
-from .rootsystems import RootSystem, check_dominant, dominant_dot
+from .rootsystems import RootSystem, check_dominant
 
 _BASE_RANK = 2
 _FAMILIES = ("so", "sp")
@@ -69,68 +69,32 @@ def _q_exponent(family_is_sp: bool, R_s: int, r: int, a: int) -> int:
     return r + a if family_is_sp else R_s
 
 
-# -- finite-rank Pieri multiplicities -----------------------------------
-#
-# At large rank the tensor multiplicities in V(gamma) (x) V(l) are the
-# stable coefficients p^lambda_{gamma,l}.  When the rank is small enough
-# for stable components to reach (or exceed) the maximal length, the
-# finite multiplicities differ: type-D components of full length split
-# into mirror pairs (last coordinate of either sign), and components that
-# are too long fold onto shorter highest weights (or vanish, in type C).
-# Rather than hard-coding modification rules we compute the finite
-# multiplicities exactly with the Brauer-Klimyk formula
-#   V(gamma) (x) V(l) = sum_beta m_{(l)}(beta) sign(w) V(w o (gamma+beta)),
-# beta running over the weights of V(l) (all have sum|beta_i| <= l) and
-# w moving gamma+beta+rho into the dominant chamber; a weight with
-# gamma+beta+rho on a wall contributes nothing (see dominant_dot).  The
-# weight multiplicities m_{(l)}(beta) have a closed form (_row_weight_mult),
-# so this engine never calls the k_direct oracle outside its base case.
-
-
-def _row_weight_mult(rs: RootSystem, l: int, beta: tuple[int, ...]) -> int:
-    """Multiplicity of the weight beta in the one-row module V((l)).
-
-    V((l)) is S^l of the vector representation in type C and its harmonic
-    part S^l - S^{l-2} in types B and D; counting the monomials of weight
-    beta, with excess e = l - sum|beta_i|, gives comb(e//2 + k, k).
-    """
-    e = l - sum(abs(b) for b in beta)
-    if e < 0 or (rs.kind != "B" and e % 2):
-        return 0
-    k = rs.rank - (2 if rs.kind == "D" else 1)
-    return comb(e // 2 + k, k)
-
-
-def _l1_ball(n: int, l: int):
-    """Integer vectors of length n with sum |beta_i| <= l."""
-    if n == 0:
-        yield ()
-        return
-    for b in range(-l, l + 1):
-        for rest in _l1_ball(n - 1, l - abs(b)):
-            yield (b,) + rest
-
-
 def _finite_pieri(rs: RootSystem, gamma: Partition, l: int) -> dict[tuple, int]:
-    """Multiplicities of V(gamma) (x) V((l)) at finite rank.
+    """V(gamma) (x) V((l)) at finite rank: pieri_expand(gamma, l) specialised
+    to rs.  Keys are dominant weights without trailing zeros; in type D a
+    full-length key may have a negative last coordinate (mirror component).
 
-    Keys are dominant weights without trailing zeros; in type D the last
-    coordinate of a full-length key may be negative (mirror component).
+    In type D with l(gamma) = n, [gamma] of O(2n) restricts to V(gamma) +
+    V(gamma-bar), so the specialisation is S = X + sigma(X) for the wanted
+    X.  As ch(lam) - ch(lam-bar) = E ch^C(lam - 1^n), E = prod(x_i - 1/x_i),
+    and V((l)) = ch^C(l) - ch^C(l-2), X - sigma(X) is read off the C_n
+    products of gamma - 1^n.
     """
-    margin = rs.rank - (len(gamma) + 1)
-    if margin >= (1 if rs.kind == "D" else 0):
-        # stable regime: no folding, no mirror components
-        return pieri_expand(gamma, l)
-    gamma2 = [2 * g for g in padded(gamma, rs.rank)]
-    out: dict[tuple, int] = {}
-    for beta in _l1_ball(rs.rank, l):
-        m = _row_weight_mult(rs, l, beta)
-        if not m:
-            continue
-        sign, lam = dominant_dot(rs, tuple(g + 2 * b for g, b in zip(gamma2, beta)))
-        if sign:
-            out[lam] = out.get(lam, 0) + sign * m
-    return {lam: c for lam, c in out.items() if c}
+    out = specialise(pieri_expand(gamma, l), rs)
+    n = rs.rank
+    if rs.kind != "D" or len(gamma) < n:
+        return out
+    low, c_n = tuple(g - 1 for g in gamma), RootSystem("C", n)
+    diff = specialise(pieri_expand(low, l), c_n)
+    if l >= 2:
+        for kappa, m in specialise(pieri_expand(low, l - 2), c_n).items():
+            diff[kappa] = diff.get(kappa, 0) - m
+    for kappa, m in diff.items():
+        lam = tuple(k + 1 for k in padded(kappa, n))
+        out[lam] = out.get(lam, 0) + m
+        out[_sigma(rs, lam)] = out.get(_sigma(rs, lam), 0) - m
+    assert all(c % 2 == 0 for c in out.values()), (rs, gamma, l)
+    return {lam: c // 2 for lam, c in out.items() if c}
 
 
 def _sigma(rs: RootSystem, w: tuple) -> tuple:

@@ -19,6 +19,7 @@ from qweyl.branching import (
     harmonic_char_finite,
     harmonic_coeff_stable,
     phi,
+    specialise,
     sym_char_stable,
     sym_decomposition_finite,
     sym_mult_finite,
@@ -118,6 +119,32 @@ def test_finite_decomposition_dimension_audit():
                     lam = tuple(x for x in lam if x)
                     total += m * weyl_dim(rs, lam)
                 assert total == comb(_dim_g(rs) + k - 1, k), (rs.algebra, k)
+
+
+def test_specialise_hand_cases():
+    B2, C2, D2 = RootSystem("B", 2), RootSystem("C", 2), RootSystem("D", 2)
+    assert specialise({(1, 1, 1): 1}, C2) == {}
+    assert specialise({(1, 1, 1, 1): 1}, C2) == {(1, 1): -1}
+    assert specialise({(1, 1, 1): 1}, B2) == {(1, 1): 1}
+    assert specialise({(1, 1, 1): 1}, D2) == {(1,): 1}
+    assert specialise({(1,) * 5: 1}, B2) == {(): 1}
+    assert specialise({(1, 1): 1}, D2) == {(1, 1): 1, (1, -1): 1}
+    assert specialise({(2, 2, 2): 1}, D2) == {(2, 2): -1, (2, -2): -1}
+    # coefficients scale and cancel; shapes inside the rank pass through
+    assert specialise({(1, 1, 1): 2, (1, 1): -2, (2,): 3}, B2) == {(2,): 3}
+
+
+@pytest.mark.parametrize(
+    "kind, n, max_k",
+    [(kind, n, 4) for kind in "BCD" for n in (2, 3, 4)] + [(kind, 5, 3) for kind in "BCD"],
+)
+def test_specialise_matches_weight_system(kind, n, max_k):
+    # the stable S^k(g) multiplicities reach length 2k, far past the rank,
+    # so most shapes take several strip removals
+    rs = RootSystem(kind, n)
+    for k in range(max_k + 1):
+        stable = {lam: _sym_mult(rs.family, k, lam) for lam in enumerate_partitions(2 * k)}
+        assert specialise(stable, rs) == sym_decomposition_finite(rs, k), (rs, k)
 
 
 def test_sym_char_stable_expansion():

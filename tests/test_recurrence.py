@@ -11,7 +11,7 @@ from functools import cache
 import pytest
 
 from qweyl.branching import _sym_decomposition, harmonic_coeff_stable, sym_decomposition_finite
-from qweyl.partitions import dominates, enumerate_partitions, padded, weight
+from qweyl.partitions import dominates, enumerate_partitions, weight
 from qweyl.pieri import _pieri_support, pieri_expand
 from qweyl.qkostant import k_direct, weight_multiplicity
 from qweyl.qseries import QSeries
@@ -25,7 +25,6 @@ from qweyl.recurrence import (
     _k_limit,
     _morris_step,
     _q_exponent,
-    _row_weight_mult,
     k_limit,
     k_recurrence_finite,
 )
@@ -112,27 +111,28 @@ def test_finite_pieri_dimension_audit():
                     assert total == weyl_dim(rs, gamma) * weyl_dim(rs, (l,)), (rs, gamma, l)
 
 
-def test_row_weight_mult_matches_direct_sum():
-    # closed form against dim V((l))_mu from the alternating sum, at signed
-    # and permuted weights beta of the dominant mu (and |mu| = l+1 for zeros)
-    cases = 0
-    for kind in "BCD":
-        for n in (2, 3, 4):
-            rs = RootSystem(kind, n)
-            for l in range(6):
-                row = (l,) if l else ()
-                for mu in enumerate_partitions(l + 1):
-                    if len(mu) > n:
-                        continue
-                    want = weight_multiplicity(rs, row, mu)
-                    mu_p = padded(mu, n)
-                    for beta in (
-                        tuple(-x if i % 2 else x for i, x in enumerate(reversed(mu_p))),
-                        tuple(-x for x in mu_p[1:] + mu_p[:1]),
-                    ):
-                        cases += 1
-                        assert _row_weight_mult(rs, l, beta) == want, (rs, l, beta)
-    assert cases > 300
+def test_type_d_full_length_pieri_against_direct_sum():
+    # the full-length type-D step of _finite_pieri must tell X from its
+    # mirror sigma(X); a dimension count cannot, K_{nu,mu} against k_direct
+    # can.  Full-length nu and mu are taken with both signs.
+    def signs(w, n):
+        return [w, w[:-1] + (-w[-1],)] if len(w) == n else [w]
+
+    cells = 0
+    for n in (3, 4, 5, 6):
+        rs = RootSystem("D", n)
+        for nu in enumerate_partitions(n + 2):
+            if len(nu) != n:
+                continue
+            for mu in enumerate_partitions(weight(nu)):
+                if len(mu) > n or not dominates(nu, mu):
+                    continue
+                for nu_w in signs(nu, n):
+                    for mu_w in signs(mu, n):
+                        want = k_direct(rs, nu_w, mu_w)
+                        assert k_recurrence_finite(rs, nu_w, mu_w) == want, (rs, nu_w, mu_w)
+                        cells += 1
+    assert cells == 456
 
 
 def test_memo_hits_return_same_object():
