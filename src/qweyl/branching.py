@@ -3,12 +3,15 @@ Littlewood branching coefficients, graded multiplicities of the symmetric
 algebra S(g), harmonic characters, the specialisation of universal so/sp
 characters to a finite rank, and the conjugation involution phi on them.
 
-This is the second, independent route to K_{lambda,empty}(q): the finite
-harmonic character is obtained by decomposing S^a(g) directly from its
-weight system (a Brauer-Klimyk step: each weight, shifted by rho, is
-reflected into the dominant chamber with its sign, and weights on a
-wall cancel), while the stable route goes through Littlewood-Richardson
-sums over even-row / even-column partitions.
+This is the second, independent route to K_{lambda,empty}(q): the stable
+S^k(g) multiplicities are Littlewood-Richardson sums over even-row /
+even-column partitions, and every finite rank reads them through one
+specialisation (the modification rules), for S^k(g) and for the
+harmonics alike.  Decomposing S^k(g) from its weight system (a
+Brauer-Klimyk step: each weight, shifted by rho, is reflected into the
+dominant chamber with its sign, and weights on a wall cancel) is kept
+as the test oracle of that path, _sym_decomposition_by_weights, which
+nothing in the library calls.
 """
 
 __all__ = [
@@ -162,37 +165,7 @@ def specialise(expansion: dict[Partition, int], rs: RootSystem) -> dict[tuple[in
     return {lam: c for lam, c in out.items() if c}
 
 
-# -- finite rank: decompose S^k(g) from its weight system ---------------
-
-
-def _binom_multiset(n: int, j: int) -> int:
-    return comb(n + j - 1, j)
-
-
-def _sym_power_weight_system(rs: RootSystem, k: int) -> dict[tuple[int, ...], int]:
-    """Weights (doubled coordinates) of S^k(g) with multiplicities."""
-    n = rs.rank
-    zero = (0,) * n
-    # degree -> weight -> multiplicity, from the root vectors only
-    layers: list[dict[tuple[int, ...], int]] = [{zero: 1}] + [{} for _ in range(k)]
-    all_roots = []
-    for r in positive_roots(rs):
-        all_roots.append(r)
-        all_roots.append(tuple(-c for c in r))
-    for alpha in all_roots:
-        for d in range(k, 0, -1):
-            for j in range(1, d + 1):
-                shift = tuple(j * c for c in alpha)
-                for w, m in layers[d - j].items():
-                    key = tuple(a + b for a, b in zip(w, shift))
-                    layers[d][key] = layers[d].get(key, 0) + m
-    # Cartan part: n commuting weight-zero generators
-    out: dict[tuple[int, ...], int] = {}
-    for j in range(k + 1):
-        c = _binom_multiset(n, j)
-        for w, m in layers[k - j].items():
-            out[w] = out.get(w, 0) + c * m
-    return out
+# -- finite rank: the stable multiplicities specialised -----------------
 
 
 def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], int]:
@@ -208,10 +181,39 @@ def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], in
 @cache
 def _sym_decomposition(rs: RootSystem, k: int) -> dict[tuple[int, ...], int]:
     """sym_decomposition_finite on an integer k >= 0."""
+    return specialise(
+        {lam: _sym_mult(rs.family, k, lam) for lam in enumerate_partitions(2 * k)}, rs
+    )
+
+
+def _sym_decomposition_by_weights(rs: RootSystem, k: int) -> dict[tuple[int, ...], int]:
+    """Test oracle for sym_decomposition_finite: S^k(g) decomposed from its
+    weight system (doubled coordinates), with no stable multiplicity."""
+    n = rs.rank
+    zero = (0,) * n
+    # degree -> weight -> multiplicity, from the root vectors only
+    layers: list[dict[tuple[int, ...], int]] = [{zero: 1}] + [{} for _ in range(k)]
+    all_roots = []
+    for r in positive_roots(rs):
+        all_roots.append(r)
+        all_roots.append(tuple(-c for c in r))
+    for alpha in all_roots:
+        for d in range(k, 0, -1):
+            for j in range(1, d + 1):
+                shift = tuple(j * c for c in alpha)
+                for w, m in layers[d - j].items():
+                    key = tuple(a + b for a, b in zip(w, shift))
+                    layers[d][key] = layers[d].get(key, 0) + m
+    # Cartan part: n commuting weight-zero generators, C(n + j - 1, j) in degree j
+    weights: dict[tuple[int, ...], int] = {}
+    for j in range(k + 1):
+        c = comb(n + j - 1, j)
+        for w, m in layers[k - j].items():
+            weights[w] = weights.get(w, 0) + c * m
     # Brauer-Klimyk with V(0): each weight wt of multiplicity m adds
     # sign(w) m V(w o wt); weights with wt + rho on a wall add nothing
     out: dict[tuple[int, ...], int] = {}
-    for wt, m in _sym_power_weight_system(rs, k).items():
+    for wt, m in weights.items():
         sign, lam = dominant_dot(rs, wt)
         if sign:
             out[lam] = out.get(lam, 0) + sign * m
@@ -257,15 +259,16 @@ def harmonic_char_finite(rs: RootSystem, k: int) -> CharExpansion:
     """Degree-k part of the graded character of the harmonics H(g),
     expanded on the irreducible characters of g."""
     check_bound(k, "k")
-    eta = euler_factor_coeffs(degrees(rs), k)
-    acc: dict[Partition, int] = {}
-    for j, c in eta.items():
-        for lam, m in sym_decomposition_finite(rs, k - j).items():
-            if lam and lam[-1] < 0:
-                continue  # type D mirror modules are tracked by their partner
-            acc[lam] = acc.get(lam, 0) + c * m
+    # the Euler factor times the stable S(g) character, specialised once
+    stable: dict[Partition, int] = {}
+    for j, c in euler_factor_coeffs(degrees(rs), k).items():
+        for lam in enumerate_partitions(2 * (k - j)):
+            stable[lam] = stable.get(lam, 0) + c * _sym_mult(rs.family, k - j, lam)
     terms = {
-        lam: QSeries.monomial(k, m) for lam, m in acc.items() if m
+        lam: QSeries.monomial(k, m)
+        for lam, m in specialise(stable, rs).items()
+        # type D mirror modules are tracked by their partner
+        if not (lam and lam[-1] < 0)
     }
     return CharExpansion(rs.family, terms, rank=rs.rank)
 

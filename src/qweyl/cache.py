@@ -1,12 +1,11 @@
 """
-Persistent on-disk copy of two memo tables, for library callers: the
+Persistent on-disk copy of one memo table, for library callers: the
 qweyl command keeps no state between runs.
 
-Two tables are dicts (lr.MemoDict) so that they can be persisted:
-lr.lr_cache (the Littlewood-Richardson coefficients) and pieri._memo
-(the values of stable_pieri; pieri_expand does not fill it).  The module
-stays only while the benchmark measures the cache (its cache.* metrics);
-with them gone it can be deleted with its tests.
+The table is a dict (lr.MemoDict) so that it can be persisted:
+lr.lr_cache, the Littlewood-Richardson coefficients.  The module stays
+only while the benchmark measures the cache (its cache.* metrics); with
+them gone it can be deleted with its tests.
 
 Binary format: magic+version header, one length-prefixed record per
 entry (repr of the key, signed integer value), and a trailing CRC32 of
@@ -21,7 +20,7 @@ import os
 import struct
 import zlib
 
-from . import lr, pieri
+from . import lr
 
 MAGIC = b"QWEYLC01"
 
@@ -31,11 +30,11 @@ class CorruptCacheError(Exception):
 
 
 def _sections() -> list[tuple[str, dict]]:
-    return [("lr", lr.lr_cache), ("pieri", pieri._memo)]
+    return [("lr", lr.lr_cache)]
 
 
 def cache_save(path: str) -> None:
-    """Write both memo tables; compacts any previous file."""
+    """Write the memo table; compacts any previous file."""
     body = bytearray()
     for name, table in _sections():
         tag = name.encode()

@@ -35,15 +35,15 @@ _CACHED = (rho_doubled, _table, _sym_decomposition, _sym_mult, _k_finite, _k_lim
 
 def table_stats() -> dict[str, dict[str, int]]:
     """{table: {"hits", "misses", "size"}} for every process-wide memo table:
-    the functools.cache functions above and the MemoDict tables
-    lr.lr_cache and pieri._memo, reported in the JSON meta."""
+    the functools.cache functions above and the MemoDict table
+    lr.lr_cache, reported in the JSON meta."""
     out = {}
     for fn in _CACHED:
         info = fn.cache_info()
         name = f"{fn.__module__.removeprefix('qweyl.')}.{fn.__qualname__}"
         out[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
-    for name, table in (("lr.lr_cache", lr.lr_cache), ("pieri._memo", pieri._memo)):
-        out[name] = {"hits": table.hits, "misses": table.misses, "size": len(table)}
+    table = lr.lr_cache
+    out["lr.lr_cache"] = {"hits": table.hits, "misses": table.misses, "size": len(table)}
     return out
 
 

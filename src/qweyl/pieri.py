@@ -9,26 +9,21 @@ top degree |lambda| = |gamma| + l this reduces to the classical Pieri
 rule.
 
 pieri_expand is memoised by (gamma, l) through functools.cache on its
-body; the pointwise stable_pieri keeps its own dict, _memo, which
-qweyl.cache persists.
+body, and the pointwise stable_pieri reads the same table.
 """
 
 __all__ = ["stable_pieri", "pieri_expand"]
 
 from functools import cache
 
-from .lr import MemoDict
 from .partitions import (
     Partition,
     add_horizontal_strips,
     check_bound,
     check_partition,
-    is_horizontal_strip,
     remove_horizontal_strips,
     weight,
 )
-
-_memo = MemoDict()  # {(gamma, l, lam): p^lam_{gamma,l}}
 
 
 def stable_pieri(gamma: Partition, l: int, lam: Partition) -> int:
@@ -38,22 +33,7 @@ def stable_pieri(gamma: Partition, l: int, lam: Partition) -> int:
     drop = weight(gamma) + l - weight(lam)
     if drop < 0 or drop % 2:
         return 0
-    key = (gamma, l, lam)
-    hit = _memo.get(key)
-    if hit is not None:
-        _memo.hits += 1
-        return hit
-    _memo.misses += 1
-    # |gamma/alpha| is forced: removing r and adding l-r changes the
-    # weight by l-2r, so r = (|gamma| + l - |lam|) / 2
-    removed = drop // 2
-    count = 0
-    if removed <= min(l, weight(gamma)):
-        for alpha in remove_horizontal_strips(gamma, removed):
-            if is_horizontal_strip(alpha, lam):
-                count += 1
-    _memo[key] = count
-    return count
+    return dict(_pieri_support(gamma, l)).get(lam, 0)
 
 
 def pieri_expand(gamma: Partition, l: int) -> dict[Partition, int]:

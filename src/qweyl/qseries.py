@@ -114,6 +114,9 @@ class QSeries:
         return QSeries.combination(terms, self.trunc)
 
     def scale(self, k: int) -> "QSeries":
+        # a non-integral factor would make the coefficients inexact
+        if not isinstance(k, int):
+            raise ValueError(f"scale factor must be an integer, got {k!r}")
         return QSeries.combination([(k, 0, self)])
 
     def shift(self, k: int) -> "QSeries":

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from qweyl.branching import (
     CharExpansion,
     _sym_decomposition,
+    _sym_decomposition_by_weights,
     _sym_mult,
     branching,
     euler_factor_coeffs,
@@ -27,13 +28,12 @@ from qweyl.branching import (
 )
 from qweyl.hall_littlewood import k_matrix, p_basis_matrix, qprime_expansion
 from qweyl.lr import lr_coefficient
-from qweyl import pieri
 from qweyl.partitions import _partitions_in_class, conjugate, enumerate_partitions, weight
 from qweyl.pieri import _pieri_support, pieri_expand, stable_pieri
 from qweyl.qkostant import _table, k_direct
 from qweyl.qseries import QSeries
 from qweyl.recurrence import _k_finite, brylinski_dims, degree_bounds, k_limit, k_recurrence_finite
-from qweyl.rootsystems import RootSystem, weyl_dim
+from qweyl.rootsystems import RootSystem, degrees, weyl_dim
 
 
 def test_branching_small_values():
@@ -94,10 +94,13 @@ def test_stable_sym_duality():
 
 
 def test_stable_matches_finite_in_stable_range():
+    # against the weight-system oracle: the finite engine specialises the
+    # stable multiplicities, which is the identity inside the stable range
     for k in (0, 1, 2):
         for rs in (RootSystem("B", 4), RootSystem("C", 4), RootSystem("D", 5)):
+            oracle = _sym_decomposition_by_weights(rs, k)
             for lam in enumerate_partitions(2 * k):
-                assert sym_mult_finite(rs, k, lam) == sym_mult_stable(
+                assert oracle.get(lam, 0) == sym_mult_stable(
                     rs.family, k, lam
                 ), (rs.algebra, k, lam)
 
@@ -109,9 +112,9 @@ def _dim_g(rs):
 
 def test_finite_decomposition_dimension_audit():
     for kind in "BCD":
-        for n in (2, 3, 4, 5):
+        for n in range(2, 11):
             rs = RootSystem(kind, n)
-            for k in (0, 1, 2, 3):
+            for k in range(5):
                 dec = sym_decomposition_finite(rs, k)
                 total = 0
                 for key, m in dec.items():
@@ -134,17 +137,40 @@ def test_specialise_hand_cases():
     assert specialise({(1, 1, 1): 2, (1, 1): -2, (2,): 3}, B2) == {(2,): 3}
 
 
-@pytest.mark.parametrize(
-    "kind, n, max_k",
-    [(kind, n, 4) for kind in "BCD" for n in (2, 3, 4)] + [(kind, 5, 3) for kind in "BCD"],
+# (kind, rank, degrees k); degree 4 at rank 5 is a cell of its own, next
+# to the k <= 3 cell
+_SPECIALISE_GRID = (
+    [(kind, n, range(5)) for kind in "BCD" for n in (2, 3, 4)]
+    + [(kind, 5, range(4)) for kind in "BCD"]
+    + [(kind, 5, range(4, 5)) for kind in "BCD"]
+    + [(kind, 6, range(4)) for kind in "BCD"]
 )
-def test_specialise_matches_weight_system(kind, n, max_k):
+
+
+@pytest.mark.parametrize(
+    "kind, n, ks",
+    [pytest.param(kind, n, ks, id=f"{kind}-{n}-{ks[-1]}") for kind, n, ks in _SPECIALISE_GRID],
+)
+def test_specialise_matches_weight_system(kind, n, ks):
     # the stable S^k(g) multiplicities reach length 2k, far past the rank,
     # so most shapes take several strip removals
     rs = RootSystem(kind, n)
-    for k in range(max_k + 1):
-        stable = {lam: _sym_mult(rs.family, k, lam) for lam in enumerate_partitions(2 * k)}
-        assert specialise(stable, rs) == sym_decomposition_finite(rs, k), (rs, k)
+    for k in ks:
+        assert sym_decomposition_finite(rs, k) == _sym_decomposition_by_weights(rs, k), (rs, k)
+
+
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind in "BCD" for n in (2, 3, 4)])
+def test_harmonic_finite_matches_weight_system(kind, n):
+    # the Euler factor of the degrees times S(g), decomposed by the oracle
+    rs = RootSystem(kind, n)
+    for k in range(5):
+        want: dict = {}
+        for j, c in euler_factor_coeffs(degrees(rs), k).items():
+            for lam, m in _sym_decomposition_by_weights(rs, k - j).items():
+                if not (lam and lam[-1] < 0):  # type D mirror keys are dropped
+                    want[lam] = want.get(lam, 0) + c * m
+        got = harmonic_char_finite(rs, k).terms
+        assert got == {lam: QSeries.monomial(k, m) for lam, m in want.items() if m}, (rs, k)
 
 
 def test_sym_char_stable_expansion():
@@ -254,12 +280,12 @@ def test_invalid_shapes_raise_value_error(bad, family, k):
         lambda: pieri_expand((1,), k),
         lambda: pieri_expand(bad, 1),
     ]
-    pieri_before = (dict(pieri._memo), _pieri_support.cache_info())
+    pieri_before = _pieri_support.cache_info()
     for call in calls:
         with pytest.raises(ValueError):
             call()
-    # a rejected row length never reaches either Pieri memo
-    assert (dict(pieri._memo), _pieri_support.cache_info()) == pieri_before
+    # a rejected row length never reaches the Pieri memo
+    assert _pieri_support.cache_info() == pieri_before
     # a rejected exact weight never reaches the partition memo
     partitions_before = _partitions_in_class.cache_info()
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qweyl import cli, lr, pieri
+from qweyl import cli, lr
 from qweyl.cache import CorruptCacheError, cache_load, cache_save
 from qweyl.cli import _SUITES, main, parse_partition
 from qweyl.partitions import dominates, enumerate_partitions, weight
@@ -69,7 +69,7 @@ def test_json_meta_reports_every_memo_table(capsys):
         "rootsystems.rho_doubled", "qkostant._table", "branching._sym_decomposition",
         "branching._sym_mult", "recurrence._k_finite", "recurrence._k_limit",
         "recurrence._morris_step", "pieri._pieri_support", "partitions._partitions_in_class",
-        "lr.lr_cache", "pieri._memo",
+        "lr.lr_cache",
     }
     assert all(set(t) == {"hits", "misses", "size"} for t in tables.values())
     assert tables["recurrence._k_limit"]["size"] > 0
@@ -302,21 +302,15 @@ def test_k_json_params_name_the_default_method(capsys):
 def test_cache_round_trip(tmp_path):
     path = str(tmp_path / "memo.bin")
     lr.lr_cache.clear()
-    pieri._memo.clear()
     from qweyl.lr import lr_coefficient
-    from qweyl.pieri import stable_pieri
 
     lr_coefficient((2, 1), (2, 1), (3, 2, 1))
-    stable_pieri((1,), 1, (2,))
     saved_lr = dict(lr.lr_cache)
-    saved_pieri = dict(pieri._memo)
     cache_save(path)
 
     lr.lr_cache.clear()
-    pieri._memo.clear()
     cache_load(path)
     assert lr.lr_cache == saved_lr
-    assert pieri._memo == saved_pieri
     # loading a second time is idempotent
     cache_load(path)
     assert lr.lr_cache == saved_lr

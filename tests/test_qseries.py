@@ -63,6 +63,13 @@ def test_shift_scale():
     assert s.scale(-2).coeffs == {0: -2, 1: -4}
 
 
+def test_scale_rejects_a_non_integral_factor():
+    s = QSeries({0: 1, 1: 2})
+    for k in (1.5, 2.0, -0.5, "2", None):
+        with pytest.raises(ValueError, match="scale factor must be an integer"):
+            s.scale(k)
+
+
 @given(series, series, series)
 def test_ring_axioms(a, b, c):
     assert (a + b).coeffs == (b + a).coeffs
