@@ -47,6 +47,8 @@ from .qseries import QSeries
 from .rootsystems import RootSystem, degrees, dominant_dot, positive_roots
 
 _FAMILIES = ("so", "sp")
+# N = 2n + _N_OFFSET[kind] in the modification rules of specialise
+_N_OFFSET = {"B": 1, "C": 2, "D": 0}
 
 
 @dataclass
@@ -132,19 +134,22 @@ def sym_char_stable(family: str, k: int) -> CharExpansion:
     return CharExpansion(family, terms)
 
 
-def specialise(expansion: dict[Partition, int], rs: RootSystem) -> dict[tuple[int, ...], int]:
+def specialise(expansion: dict[Partition, int], kind: str, n: int) -> dict[tuple[int, ...], int]:
     """Specialise a sum {lam: m} of universal characters (so basis for B
-    and D, sp basis for C) to the irreducible characters of rs by the
-    modification rules (Koike-Terada 1987; King 1971).  With N = 2n+1,
+    and D, sp basis for C) to the irreducible characters of the rank-n
+    algebra of the given type by the modification rules (Koike-Terada
+    1987; King 1971); they hold at every rank n >= 0.  With N = 2n+1,
     2n+2 or 2n (B, C, D), while l(lam) > n the bead at h = 2 l(lam) - N of
     beta_i = lam_i + l(lam) - i moves to 0: no bead at h gives 0, and the
     strip removed, over c = h - #{beta_j < h} columns, has sign (-1)^c for
     sp and (-1)^(c-1) for so.  Keys follow sym_decomposition_finite: no
-    trailing zeros, and in type D a key of length n adds its mirror key.
+    trailing zeros, and in type D a nonempty key of length n adds its
+    mirror key.
     """
-    n = rs.rank
-    N = 2 * n + {"B": 1, "C": 2, "D": 0}[rs.kind]
-    flip = 0 if rs.kind == "C" else 1
+    if kind not in _N_OFFSET:
+        raise ValueError(f"unknown type {kind!r}")
+    N = 2 * check_bound(n, "n") + _N_OFFSET[kind]
+    flip = 0 if kind == "C" else 1
     out: dict[tuple[int, ...], int] = {}
     for lam, m in expansion.items():
         lam = check_partition(lam)
@@ -159,7 +164,7 @@ def specialise(expansion: dict[Partition, int], rs: RootSystem) -> dict[tuple[in
             beta = sorted([b for b in beta if b != h] + [0], reverse=True)
             lam = tuple(p for p in (b - l + i for i, b in enumerate(beta, 1)) if p)
         out[lam] = out.get(lam, 0) + m
-        if rs.kind == "D" and len(lam) == n:
+        if kind == "D" and lam and len(lam) == n:
             mirror = lam[:-1] + (-lam[-1],)
             out[mirror] = out.get(mirror, 0) + m
     return {lam: c for lam, c in out.items() if c}
@@ -182,7 +187,9 @@ def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], in
 def _sym_decomposition(rs: RootSystem, k: int) -> dict[tuple[int, ...], int]:
     """sym_decomposition_finite on an integer k >= 0."""
     return specialise(
-        {lam: _sym_mult(rs.family, k, lam) for lam in enumerate_partitions(2 * k)}, rs
+        {lam: _sym_mult(rs.family, k, lam) for lam in enumerate_partitions(2 * k)},
+        rs.kind,
+        rs.rank,
     )
 
 
@@ -266,7 +273,7 @@ def harmonic_char_finite(rs: RootSystem, k: int) -> CharExpansion:
             stable[lam] = stable.get(lam, 0) + c * _sym_mult(rs.family, k - j, lam)
     terms = {
         lam: QSeries.monomial(k, m)
-        for lam, m in specialise(stable, rs).items()
+        for lam, m in specialise(stable, rs.kind, rs.rank).items()
         # type D mirror modules are tracked by their partner
         if not (lam and lam[-1] < 0)
     }

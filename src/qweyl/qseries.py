@@ -24,6 +24,9 @@ class QSeries:
         cc = {}
         if coeffs:
             for d, c in coeffs.items() if isinstance(coeffs, dict) else coeffs:
+                # exact integer arithmetic: no float or fraction gets in
+                if not (isinstance(d, int) and isinstance(c, int)):
+                    raise ValueError(f"degree and coefficient must be integers, got {d!r}: {c!r}")
                 if d < 0:
                     raise ValueError("negative degree")
                 if c and (trunc is None or d <= trunc):

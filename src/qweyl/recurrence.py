@@ -1,8 +1,9 @@
 """
 Morris-type recurrences for the graded multiplicities: the finite-rank
-recurrence (rank n reduces to rank n-1 with mu -> mu-flat) and its stable
-limits for the so/sp series, plus degree bounds and the dimensions of the
-principal-nilpotent filtration.
+recurrence (rank n reduces to rank n-1 with mu -> mu-flat, down to the
+trivial algebra at rank 0) and its stable limits for the so/sp series,
+plus degree bounds and the dimensions of the principal-nilpotent
+filtration.  Both recurrences run over one Morris step, `_step`.
 
 For mu = empty the stable recurrence is self-referential: the single term
 (s=1, r=nu_1, a=0, lambda=nu) carries coefficient q^{nu_1} K_{nu,empty},
@@ -11,128 +12,95 @@ prefactor; every remaining term strictly decreases |lambda|+|lambda-flat|.
 """
 
 __all__ = [
-    "RecurrenceFrame",
-    "build_frame",
     "k_recurrence_finite",
     "k_limit",
     "degree_bounds",
     "brylinski_dims",
 ]
 
-from dataclasses import dataclass
 from functools import cache
 
 from .branching import specialise
 from .partitions import Partition, check_bound, check_partition, padded, weight
 from .pieri import pieri_expand
-from .qkostant import k_direct
 from .qseries import QSeries
 from .rootsystems import RootSystem, check_dominant
 
-_BASE_RANK = 2
 _FAMILIES = ("so", "sp")
 
 
-@dataclass(frozen=True)
-class RecurrenceFrame:
-    """The data (p, R_s, gamma(s)) driving one recurrence step."""
-
-    nu: Partition
-    mu: Partition
-    p: int
-    R: tuple[int, ...]  # R[s-1] = nu_s - s - mu_1 + 1
-    gammas: tuple[Partition, ...]
-
-
-def build_frame(nu: Partition, mu: Partition) -> RecurrenceFrame:
-    return _frame(check_partition(nu), check_partition(mu))
-
-
-def _frame(nu: Partition, mu: Partition) -> RecurrenceFrame:
-    """build_frame on partitions that are already valid."""
-    mu1 = mu[0] if mu else 0
-    R: list[int] = []
-    gammas: list[Partition] = []
+def _step(is_sp: bool, nu: tuple, mu1: int):
+    """The terms (sign, shift, gamma(s), r) of one Morris step for K_{nu,mu}
+    with mu_1 = mu1, one per (s, a): R_s = nu_s - s - mu1 + 1 >= 0,
+    gamma(s) bumps the first s-1 parts of nu and drops part s, r = R_s - 2a,
+    and the shift is r + a in type C and R_s in types B and D."""
     for s in range(1, max(len(nu), 1) + 1):
-        nu_s = nu[s - 1] if s <= len(nu) else 0
-        r_s = nu_s - s - mu1 + 1
-        if r_s < 0:
-            break
-        R.append(r_s)
-        # gamma(s): bump the first s-1 parts, drop part s
-        gammas.append(tuple(x + 1 for x in nu[: s - 1]) + nu[s:])
-    return RecurrenceFrame(nu, mu, len(R), tuple(R), tuple(gammas))
+        R_s = (nu[s - 1] if nu else 0) - s - mu1 + 1
+        if R_s < 0:
+            return
+        sign = -1 if s % 2 == 0 else 1
+        gamma = tuple(x + 1 for x in nu[: s - 1]) + nu[s:]
+        for a in range(R_s // 2 + 1):
+            r = R_s - 2 * a
+            yield sign, r + a if is_sp else R_s, gamma, r
 
 
-def _q_exponent(family_is_sp: bool, R_s: int, r: int, a: int) -> int:
-    # type C carries q^{r+a}; types B and D carry q^{R_s} for every (r, a)
-    return r + a if family_is_sp else R_s
+def _finite_pieri(kind: str, n: int, gamma: Partition, l: int) -> dict[tuple, int]:
+    """V(gamma) (x) V((l)) at rank n of the given type: pieri_expand(gamma, l)
+    specialised.  Keys are dominant weights without trailing zeros; in type
+    D a full-length key may have a negative last coordinate (mirror
+    component).
 
-
-def _finite_pieri(rs: RootSystem, gamma: Partition, l: int) -> dict[tuple, int]:
-    """V(gamma) (x) V((l)) at finite rank: pieri_expand(gamma, l) specialised
-    to rs.  Keys are dominant weights without trailing zeros; in type D a
-    full-length key may have a negative last coordinate (mirror component).
-
-    In type D with l(gamma) = n, [gamma] of O(2n) restricts to V(gamma) +
-    V(gamma-bar), so the specialisation is S = X + sigma(X) for the wanted
+    In type D with l(gamma) = n > 0, [gamma] of O(2n) restricts to V(gamma)
+    + V(gamma-bar), so the specialisation is S = X + sigma(X) for the wanted
     X.  As ch(lam) - ch(lam-bar) = E ch^C(lam - 1^n), E = prod(x_i - 1/x_i),
     and V((l)) = ch^C(l) - ch^C(l-2), X - sigma(X) is read off the C_n
     products of gamma - 1^n.
     """
-    out = specialise(pieri_expand(gamma, l), rs)
-    n = rs.rank
-    if rs.kind != "D" or len(gamma) < n:
+    out = specialise(pieri_expand(gamma, l), kind, n)
+    if kind != "D" or not gamma or len(gamma) < n:
         return out
-    low, c_n = tuple(g - 1 for g in gamma), RootSystem("C", n)
-    diff = specialise(pieri_expand(low, l), c_n)
+    low = tuple(g - 1 for g in gamma)
+    diff = specialise(pieri_expand(low, l), "C", n)
     if l >= 2:
-        for kappa, m in specialise(pieri_expand(low, l - 2), c_n).items():
+        for kappa, m in specialise(pieri_expand(low, l - 2), "C", n).items():
             diff[kappa] = diff.get(kappa, 0) - m
     for kappa, m in diff.items():
         lam = tuple(k + 1 for k in padded(kappa, n))
         out[lam] = out.get(lam, 0) + m
-        out[_sigma(rs, lam)] = out.get(_sigma(rs, lam), 0) - m
-    assert all(c % 2 == 0 for c in out.values()), (rs, gamma, l)
+        out[_sigma(kind, n, lam)] = out.get(_sigma(kind, n, lam), 0) - m
+    assert all(c % 2 == 0 for c in out.values()), (kind, n, gamma, l)
     return {lam: c // 2 for lam, c in out.items() if c}
 
 
-def _sigma(rs: RootSystem, w: tuple) -> tuple:
+def _sigma(kind: str, n: int, w: tuple) -> tuple:
     """Type-D diagram automorphism on dominant weights (negate the last
     coordinate when the weight has full length)."""
-    if rs.kind == "D" and len(w) == rs.rank and w[-1] != 0:
+    if kind == "D" and len(w) == n and w[-1] != 0:
         return w[:-1] + (-w[-1],)
     return w
 
 
 @cache
-def _k_finite(rs: RootSystem, nu_w: tuple, mu_w: tuple) -> QSeries:
-    """Finite recurrence on dominant weights (type-D mirrors allowed)."""
+def _k_finite(kind: str, n: int, nu_w: tuple, mu_w: tuple) -> QSeries:
+    """Finite recurrence on dominant weights (type-D mirrors allowed); at
+    rank 0 both weights are empty and K = 1."""
+    if not n:
+        return QSeries.one()
     if nu_w and nu_w[-1] < 0:
         # flip both weights through the diagram automorphism
-        return _k_finite(rs, _sigma(rs, nu_w), _sigma(rs, mu_w))
-    if rs.rank <= _BASE_RANK:
-        return k_direct(rs, nu_w, mu_w)
-    sub_rs = RootSystem(rs.kind, rs.rank - 1)
+        return _k_finite(kind, n, _sigma(kind, n, nu_w), _sigma(kind, n, mu_w))
     mu_flat = mu_w[1:]
-    is_sp = rs.kind == "C"
-    frame = _frame(nu_w, (mu_w[0],) if mu_w else ())
-    terms = []  # (factor, shift, K_{lam, mu-flat}) of the recurrence step
-    for s in range(1, frame.p + 1):
-        R_s = frame.R[s - 1]
-        gam = frame.gammas[s - 1]
-        sign = -1 if s % 2 == 0 else 1
-        for a in range(R_s // 2 + 1):
-            r = R_s - 2 * a
-            shift = _q_exponent(is_sp, R_s, r, a)
-            for lam, pc in _finite_pieri(sub_rs, gam, r).items():
-                terms.append((sign * pc, shift, _k_finite(sub_rs, lam, mu_flat)))
-    return QSeries.combination(terms)
+    return QSeries.combination(
+        (sign * pc, shift, _k_finite(kind, n - 1, lam, mu_flat))
+        for sign, shift, gamma, r in _step(kind == "C", nu_w, mu_w[0] if mu_w else 0)
+        for lam, pc in _finite_pieri(kind, n - 1, gamma, r).items()
+    )
 
 
 def k_recurrence_finite(rs: RootSystem, nu: Partition, mu: Partition) -> QSeries:
     """K_{nu,mu}(q) at finite rank via the rank-lowering recurrence."""
-    return _k_finite(rs, check_dominant(rs, nu), check_dominant(rs, mu))
+    return _k_finite(rs.kind, rs.rank, check_dominant(rs, nu), check_dominant(rs, mu))
 
 
 def k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
@@ -168,22 +136,17 @@ def _morris_step(family: str, nu: Partition, mu1: int) -> tuple[tuple[int, int, 
     every shift: K_{nu,mu} = sum factor q^shift K_{lam, mu-flat}.  The step
     depends on mu only through mu_1 (0 for mu = empty), so one table serves
     every mu with that first part and every truncation D."""
-    is_sp = family == "sp"
-    frame = _frame(nu, (mu1,) if mu1 else ())
     measure = weight(nu) + weight(nu[1:])
     terms = []
-    for s in range(1, frame.p + 1):
-        R_s = frame.R[s - 1]
-        gam = frame.gammas[s - 1]
-        sign = -1 if s % 2 == 0 else 1
-        for a in range(R_s // 2 + 1):
-            r = R_s - 2 * a
-            shift = _q_exponent(is_sp, R_s, r, a)
-            for lam, pc in pieri_expand(gam, r).items():
-                if not mu1 and s == 1 and a == 0 and lam == nu:
-                    continue  # the self-term, moved to the left-hand side
-                assert weight(lam) + weight(lam[1:]) < measure, (nu, mu1, lam)
-                terms.append((sign * pc, shift, lam))
+    for sign, shift, gamma, r in _step(family == "sp", nu, mu1):
+        for lam, pc in pieri_expand(gamma, r).items():
+            # the self-term (s = 1, a = 0), moved to the left-hand side: for
+            # a > 0, |lam| < |nu|; for s >= 2, lam holds gamma(s), whose
+            # first part nu_1 + 1 does not fit inside nu
+            if not mu1 and lam == nu:
+                continue
+            assert weight(lam) + weight(lam[1:]) < measure, (nu, mu1, lam)
+            terms.append((sign * pc, shift, lam))
     return tuple(terms)
 
 
@@ -211,5 +174,5 @@ def brylinski_dims(rs: RootSystem, lam: Partition, mu: Partition, k: int) -> int
     """dim of the k-th step of the principal-nilpotent filtration of the
     mu-weight space of V(lam): the partial sum of K-coefficients up to q^k."""
     check_bound(k, "k", -1)
-    series = k_direct(rs, lam, mu)
+    series = k_recurrence_finite(rs, lam, mu)
     return sum(c for d, c in series.coeffs.items() if d <= k)

@@ -125,16 +125,34 @@ def test_finite_decomposition_dimension_audit():
 
 
 def test_specialise_hand_cases():
-    B2, C2, D2 = RootSystem("B", 2), RootSystem("C", 2), RootSystem("D", 2)
-    assert specialise({(1, 1, 1): 1}, C2) == {}
-    assert specialise({(1, 1, 1, 1): 1}, C2) == {(1, 1): -1}
-    assert specialise({(1, 1, 1): 1}, B2) == {(1, 1): 1}
-    assert specialise({(1, 1, 1): 1}, D2) == {(1,): 1}
-    assert specialise({(1,) * 5: 1}, B2) == {(): 1}
-    assert specialise({(1, 1): 1}, D2) == {(1, 1): 1, (1, -1): 1}
-    assert specialise({(2, 2, 2): 1}, D2) == {(2, 2): -1, (2, -2): -1}
+    assert specialise({(1, 1, 1): 1}, "C", 2) == {}
+    assert specialise({(1, 1, 1, 1): 1}, "C", 2) == {(1, 1): -1}
+    assert specialise({(1, 1, 1): 1}, "B", 2) == {(1, 1): 1}
+    assert specialise({(1, 1, 1): 1}, "D", 2) == {(1,): 1}
+    assert specialise({(1,) * 5: 1}, "B", 2) == {(): 1}
+    assert specialise({(1, 1): 1}, "D", 2) == {(1, 1): 1, (1, -1): 1}
+    assert specialise({(2, 2, 2): 1}, "D", 2) == {(2, 2): -1, (2, -2): -1}
     # coefficients scale and cancel; shapes inside the rank pass through
-    assert specialise({(1, 1, 1): 2, (1, 1): -2, (2,): 3}, B2) == {(2,): 3}
+    assert specialise({(1, 1, 1): 2, (1, 1): -2, (2,): 3}, "B", 2) == {(2,): 3}
+
+
+def test_specialise_at_ranks_0_and_1():
+    # the rules need only the type and the rank, so they reach so(3),
+    # sp(2), so(2), so(1) and so(0), where no RootSystem exists
+    assert specialise({(1, 1): 1}, "B", 1) == {(1,): 1}
+    assert specialise({(1, 1): 1}, "D", 1) == {(): 1}
+    assert specialise({(1, 1): 1}, "C", 1) == {}
+    assert specialise({(1,): 1}, "D", 1) == {(1,): 1, (-1,): 1}
+    assert specialise({(1,): 1}, "B", 0) == {(): 1}
+    assert specialise({(1,): 1}, "D", 0) == {}
+    # the empty key has no mirror, even at rank 0
+    assert specialise({(): 1}, "D", 0) == {(): 1}
+
+
+def test_specialise_rejects_an_unknown_type_or_rank():
+    for kind, n in (("A", 2), ("B", -1), ("C", 1.5)):
+        with pytest.raises(ValueError):
+            specialise({(1,): 1}, kind, n)
 
 
 # (kind, rank, degrees k); degree 4 at rank 5 is a cell of its own, next

@@ -21,6 +21,18 @@ def test_negative_degree_rejected():
         QSeries({-1: 1})
 
 
+def test_non_integral_degree_or_coefficient_rejected():
+    # the arithmetic is exact: a float degree or coefficient never gets in,
+    # through the constructor or through a combination
+    for make in (
+        lambda: QSeries({0: 0.5}),
+        lambda: QSeries({1.5: 1}),
+        lambda: QSeries.combination([(0.5, 0, QSeries.one())]),
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            make()
+
+
 def test_str():
     assert str(QSeries({1: 1, 3: 1})) == "q + q^3"
     assert str(QSeries({0: 2, 2: -1})) == "2 - q^2"

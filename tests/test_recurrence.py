@@ -13,35 +13,39 @@ import pytest
 from qweyl.branching import _sym_decomposition, harmonic_coeff_stable, sym_decomposition_finite
 from qweyl.partitions import dominates, enumerate_partitions, weight
 from qweyl.pieri import _pieri_support, pieri_expand
-from qweyl.qkostant import k_direct, weight_multiplicity
+from qweyl.qkostant import _table, k_direct, weight_multiplicity
 from qweyl.qseries import QSeries
 from qweyl.recurrence import (
     brylinski_dims,
-    build_frame,
     degree_bounds,
     _finite_pieri,
-    _frame,
     _k_finite,
     _k_limit,
     _morris_step,
-    _q_exponent,
+    _step,
     k_limit,
     k_recurrence_finite,
 )
 from qweyl.rootsystems import RootSystem, weyl_dim
 
 
-def test_build_frame_examples():
-    f = build_frame((4,), ())
-    assert (f.p, f.R, f.gammas) == (1, (4,), ((),))
-    f = build_frame((1, 1, 1), (1,))
-    assert (f.p, f.R, f.gammas) == (1, (0,), ((1, 1),))
-    f = build_frame((), ())
-    assert (f.p, f.R, f.gammas) == (1, (0,), ((),))
-    f = build_frame((3, 2), ())
-    assert f.p == 2
-    assert f.R == (3, 1)
-    assert f.gammas == ((2,), (4,))
+def test_step_examples():
+    # (sign, shift, gamma(s), r) per (s, a); the shift is R_s in types B
+    # and D and r + a in type C
+    def step(nu, mu):
+        mu1 = mu[0] if mu else 0
+        return list(_step(False, nu, mu1)), list(_step(True, nu, mu1))
+
+    assert step((4,), ()) == (
+        [(1, 4, (), 4), (1, 4, (), 2), (1, 4, (), 0)],
+        [(1, 4, (), 4), (1, 3, (), 2), (1, 2, (), 0)],
+    )
+    assert step((1, 1, 1), (1,)) == ([(1, 0, (1, 1), 0)],) * 2
+    assert step((), ()) == ([(1, 0, (), 0)],) * 2
+    assert step((3, 2), ()) == (
+        [(1, 3, (2,), 3), (1, 3, (2,), 1), (-1, 1, (4,), 1)],
+        [(1, 3, (2,), 3), (1, 2, (2,), 1), (-1, 1, (4,), 1)],
+    )
 
 
 def test_recurrence_matches_direct_sum():
@@ -106,18 +110,20 @@ def test_finite_pieri_dimension_audit():
                 if len(gamma) > n:
                     continue
                 for l in range(4):
-                    dec = _finite_pieri(rs, gamma, l)
+                    dec = _finite_pieri(kind, n, gamma, l)
                     total = sum(m * weyl_dim(rs, lam) for lam, m in dec.items())
                     assert total == weyl_dim(rs, gamma) * weyl_dim(rs, (l,)), (rs, gamma, l)
+
+
+def _both_signs(w, kind, n):
+    """w and, for a full-length type-D weight, its mirror."""
+    return [w, w[:-1] + (-w[-1],)] if kind == "D" and len(w) == n else [w]
 
 
 def test_type_d_full_length_pieri_against_direct_sum():
     # the full-length type-D step of _finite_pieri must tell X from its
     # mirror sigma(X); a dimension count cannot, K_{nu,mu} against k_direct
     # can.  Full-length nu and mu are taken with both signs.
-    def signs(w, n):
-        return [w, w[:-1] + (-w[-1],)] if len(w) == n else [w]
-
     cells = 0
     for n in (3, 4, 5, 6):
         rs = RootSystem("D", n)
@@ -127,12 +133,46 @@ def test_type_d_full_length_pieri_against_direct_sum():
             for mu in enumerate_partitions(weight(nu)):
                 if len(mu) > n or not dominates(nu, mu):
                     continue
-                for nu_w in signs(nu, n):
-                    for mu_w in signs(mu, n):
+                for nu_w in _both_signs(nu, "D", n):
+                    for mu_w in _both_signs(mu, "D", n):
                         want = k_direct(rs, nu_w, mu_w)
                         assert k_recurrence_finite(rs, nu_w, mu_w) == want, (rs, nu_w, mu_w)
                         cells += 1
     assert cells == 456
+
+
+def test_recurrence_matches_direct_sum_rank_2():
+    # the recurrence runs down to rank 0, so rank 2 is a second path too
+    cells = 0
+    for kind in "BCD":
+        rs = RootSystem(kind, 2)
+        for nu in enumerate_partitions(8):
+            if len(nu) > 2:
+                continue
+            for mu in enumerate_partitions(weight(nu)):
+                if len(mu) > 2 or not dominates(nu, mu):
+                    continue
+                for nu_w in _both_signs(nu, kind, 2):
+                    for mu_w in _both_signs(mu, kind, 2):
+                        want = k_direct(rs, nu_w, mu_w)
+                        assert k_recurrence_finite(rs, nu_w, mu_w) == want, (rs, nu_w, mu_w)
+                        cells += 1
+    assert cells == 1435
+
+
+def test_recurrence_never_reaches_the_oracle():
+    # no P_q table is built or read: k_direct is not called at any rank
+    _k_finite.cache_clear()
+    before = _table.cache_info()
+    for kind in "BCD":
+        for n in range(2, 7):
+            rs = RootSystem(kind, n)
+            for nu in enumerate_partitions(3):
+                for mu in enumerate_partitions(weight(nu)):
+                    if max(len(nu), len(mu)) <= n and dominates(nu, mu):
+                        k_recurrence_finite(rs, nu, mu)
+            brylinski_dims(rs, (2, 1), (1, 1), 2)
+    assert _table.cache_info() == before
 
 
 def test_memo_hits_return_same_object():
@@ -231,25 +271,18 @@ def _k_limit_unshared(family, nu, mu, D):
     mu, D) entry and the shifts above D skipped while it is built."""
     if not nu and not mu:
         return QSeries.one(D)
-    is_sp = family == "sp"
     mu_flat = mu[1:]
-    frame = _frame(nu, mu)
     measure = weight(nu) + weight(nu[1:])
     terms = []
-    for s in range(1, frame.p + 1):
-        R_s = frame.R[s - 1]
-        gam = frame.gammas[s - 1]
-        sign = -1 if s % 2 == 0 else 1
-        for a in range(R_s // 2 + 1):
-            r = R_s - 2 * a
-            shift = _q_exponent(is_sp, R_s, r, a)
-            if shift > D:
+    # the first term of a step is (s, a) = (1, 0)
+    for i, (sign, shift, gam, r) in enumerate(_step(family == "sp", nu, mu[0] if mu else 0)):
+        if shift > D:
+            continue
+        for lam, pc in pieri_expand(gam, r).items():
+            if not mu and i == 0 and lam == nu:
                 continue
-            for lam, pc in pieri_expand(gam, r).items():
-                if not mu and s == 1 and a == 0 and lam == nu:
-                    continue
-                assert weight(lam) + weight(lam[1:]) < measure, (nu, mu, lam)
-                terms.append((sign * pc, shift, _k_limit_unshared(family, lam, mu_flat, D)))
+            assert weight(lam) + weight(lam[1:]) < measure, (nu, mu, lam)
+            terms.append((sign * pc, shift, _k_limit_unshared(family, lam, mu_flat, D)))
     total = QSeries.combination(terms, D)
     if not mu:
         total = total.div_one_minus_qm(nu[0], D)
