@@ -21,7 +21,8 @@ from .partitions import (Partition, _partitions_in_class, check_bound, check_par
                          dominates, enumerate_partitions, weight)
 from .qkostant import _table, k_direct
 from .qseries import QSeries
-from .recurrence import _k_finite, _k_limit, _morris_step, degree_bounds, k_limit, k_recurrence_finite
+from .recurrence import (_finite_pieri, _k_finite, _k_limit, _morris_step, degree_bounds, k_limit,
+                         k_recurrence_finite)
 from .rootsystems import RootSystem, rho_doubled
 from .hall_littlewood import k_matrix, p_basis_matrix
 
@@ -29,8 +30,8 @@ OK, VERIFY_FAILED, USAGE_ERROR = 0, 1, 2
 
 # held here, so that a wrapper bound over a module attribute later does
 # not hide cache_info()
-_CACHED = (rho_doubled, _table, _sym_decomposition, _sym_mult, _k_finite, _k_limit,
-           _morris_step, pieri._pieri_support, _partitions_in_class)
+_CACHED = (rho_doubled, _table, _sym_decomposition, _sym_mult, _k_finite, _finite_pieri,
+           _k_limit, _morris_step, pieri._pieri_support, _partitions_in_class)
 
 
 def table_stats() -> dict[str, dict[str, int]]:
@@ -181,16 +182,28 @@ def _suite_stability(args):
 
 
 def _suite_hesselink(args):
+    # coefficient k of K_{lam,0}: the harmonics H^k(g) against the direct
+    # sum on their support at ranks 2-3, and against the recurrence on every
+    # lam with |lam| <= 2k (zeros included) at ranks 2..max_rank
     fails, checks = [], 0
     for kind in "BCD":
-        for rank in (2, 3):
+        for rank in range(2, args.max_rank + 1):
             rs = RootSystem(kind, rank)
             for k in range(args.max_k + 1):
                 h = harmonic_char_finite(rs, k)
-                for lam in h.terms:
+                if rank <= 3:
+                    for lam in h.terms:
+                        checks += 1
+                        if h.coeff(lam)[k] != k_direct(rs, lam, ())[k]:
+                            fails.append({"rs": str(rs), "k": k, "lambda": list(lam),
+                                          "path": "direct"})
+                for lam in enumerate_partitions(2 * k):
+                    if len(lam) > rank:
+                        continue
                     checks += 1
-                    if h.coeff(lam)[k] != k_direct(rs, lam, ())[k]:
-                        fails.append({"rs": str(rs), "k": k, "lambda": list(lam)})
+                    if h.coeff(lam)[k] != k_recurrence_finite(rs, lam, ())[k]:
+                        fails.append({"rs": str(rs), "k": k, "lambda": list(lam),
+                                      "path": "recurrence"})
     return checks, fails
 
 
@@ -267,7 +280,7 @@ def _suite_hl_inverse(args):
 _SUITES = {
     "duality": (_suite_duality, {"max_weight": 6, "trunc": 8}),
     "stability": (_suite_stability, {"max_weight": 4, "max_k": 2}),
-    "hesselink": (_suite_hesselink, {"max_k": 2}),
+    "hesselink": (_suite_hesselink, {"max_k": 3, "max_rank": 10}),
     "stable-hesselink": (_suite_stable_hesselink, {"max_weight": 10, "max_k": 8}),
     "degrees": (_suite_degrees, {"max_weight": 4, "max_rank": 3}),
     "pieri-oracle": (_suite_pieri_oracle, {"max_weight": 4, "max_rank": 4}),

@@ -49,8 +49,13 @@ class TruncatedKMatrix:
         return self.entries.get(key, QSeries.zero(self.degree))
 
     def matmul(self, other: "TruncatedKMatrix") -> "TruncatedKMatrix":
+        """self . other over the common window, known modulo q^(D+1) for
+        the smaller of the two degrees D."""
+        if self.family != other.family:
+            raise ValueError(f"incompatible families {self.family!r} and {other.family!r}")
         if self.index != other.index:
             raise ValueError("incompatible index sets")
+        degree = min(self.degree, other.degree)
         rows: dict[Partition, list] = {}
         for (kappa, mu), right in other.entries.items():
             rows.setdefault(kappa, []).append((mu, right))
@@ -62,12 +67,10 @@ class TruncatedKMatrix:
                     (c, d, right) for d, c in left.coeffs.items())
         prod = {}
         for key, ts in terms.items():
-            entry = QSeries.combination(ts, self.degree)
+            entry = QSeries.combination(ts, degree)
             if entry:
                 prod[key] = entry
-        return TruncatedKMatrix(
-            self.family, self.weight_bound, self.degree, self.index, prod
-        )
+        return TruncatedKMatrix(self.family, self.weight_bound, degree, self.index, prod)
 
 
 def qprime_expansion(family: str, mu: Partition, D: int) -> CharExpansion:

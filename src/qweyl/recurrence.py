@@ -45,11 +45,13 @@ def _step(is_sp: bool, nu: tuple, mu1: int):
             yield sign, r + a if is_sp else R_s, gamma, r
 
 
-def _finite_pieri(kind: str, n: int, gamma: Partition, l: int) -> dict[tuple, int]:
+@cache
+def _finite_pieri(kind: str, n: int, gamma: Partition, l: int) -> tuple[tuple[tuple, int], ...]:
     """V(gamma) (x) V((l)) at rank n of the given type: pieri_expand(gamma, l)
-    specialised.  Keys are dominant weights without trailing zeros; in type
-    D a full-length key may have a negative last coordinate (mirror
-    component).
+    specialised, as (weight, multiplicity) pairs.  Weights are dominant and
+    without trailing zeros; in type D a full-length weight may have a
+    negative last coordinate (mirror component).  The result is a tuple, so
+    a caller cannot edit the memo.
 
     In type D with l(gamma) = n > 0, [gamma] of O(2n) restricts to V(gamma)
     + V(gamma-bar), so the specialisation is S = X + sigma(X) for the wanted
@@ -59,7 +61,7 @@ def _finite_pieri(kind: str, n: int, gamma: Partition, l: int) -> dict[tuple, in
     """
     out = specialise(pieri_expand(gamma, l), kind, n)
     if kind != "D" or not gamma or len(gamma) < n:
-        return out
+        return tuple(out.items())
     low = tuple(g - 1 for g in gamma)
     diff = specialise(pieri_expand(low, l), "C", n)
     if l >= 2:
@@ -70,7 +72,7 @@ def _finite_pieri(kind: str, n: int, gamma: Partition, l: int) -> dict[tuple, in
         out[lam] = out.get(lam, 0) + m
         out[_sigma(kind, n, lam)] = out.get(_sigma(kind, n, lam), 0) - m
     assert all(c % 2 == 0 for c in out.values()), (kind, n, gamma, l)
-    return {lam: c // 2 for lam, c in out.items() if c}
+    return tuple((lam, c // 2) for lam, c in out.items() if c)
 
 
 def _sigma(kind: str, n: int, w: tuple) -> tuple:
@@ -94,7 +96,7 @@ def _k_finite(kind: str, n: int, nu_w: tuple, mu_w: tuple) -> QSeries:
     return QSeries.combination(
         (sign * pc, shift, _k_finite(kind, n - 1, lam, mu_flat))
         for sign, shift, gamma, r in _step(kind == "C", nu_w, mu_w[0] if mu_w else 0)
-        for lam, pc in _finite_pieri(kind, n - 1, gamma, r).items()
+        for lam, pc in _finite_pieri(kind, n - 1, gamma, r)
     )
 
 

@@ -1,16 +1,20 @@
 """Command-line interface and the library's persistent cache, exercised in-process."""
 
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qweyl
 from qweyl import cli, lr
 from qweyl.cache import CorruptCacheError, cache_load, cache_save
 from qweyl.cli import _SUITES, main, parse_partition
 from qweyl.partitions import dominates, enumerate_partitions, weight
+from qweyl.qseries import QSeries
 from qweyl.recurrence import k_limit
 
 
@@ -67,14 +71,30 @@ def test_json_meta_reports_every_memo_table(capsys):
     tables = stats["tables"]
     assert set(tables) == {
         "rootsystems.rho_doubled", "qkostant._table", "branching._sym_decomposition",
-        "branching._sym_mult", "recurrence._k_finite", "recurrence._k_limit",
-        "recurrence._morris_step", "pieri._pieri_support", "partitions._partitions_in_class",
+        "branching._sym_mult", "recurrence._k_finite", "recurrence._finite_pieri",
+        "recurrence._k_limit", "recurrence._morris_step", "pieri._pieri_support",
+        "partitions._partitions_in_class",
         "lr.lr_cache",
     }
     assert all(set(t) == {"hits", "misses", "size"} for t in tables.values())
     assert tables["recurrence._k_limit"]["size"] > 0
     assert tables["pieri._pieri_support"]["size"] > 0
     assert tables["recurrence._morris_step"]["size"] > 0
+
+
+def test_every_memo_table_is_reported():
+    # a functools.cache function anywhere in qweyl, at module level or on a
+    # class, must be in cli._CACHED, so that table_stats() reports it
+    memos = {}
+    for info in pkgutil.iter_modules(qweyl.__path__):
+        module = importlib.import_module(f"qweyl.{info.name}")
+        for obj in vars(module).values():
+            members = [obj, *vars(obj).values()] if isinstance(obj, type) else [obj]
+            for member in members:
+                if callable(member) and hasattr(member, "cache_info"):
+                    memos[id(member)] = member
+    assert len(memos) == len(cli._CACHED) == 10
+    assert set(memos) == {id(fn) for fn in cli._CACHED}
 
 
 def test_usage_errors(capsys):
@@ -249,6 +269,23 @@ def test_verify_hesselink_small(capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_verify_hesselink_grid(capsys, monkeypatch):
+    # ranks 2-3, k <= 2: the 29 checks against k_direct on the support of
+    # H^k(g), and 90 against the recurrence on every |lam| <= 2k
+    code, out, _ = run(capsys, "verify", "--suite", "hesselink", "--max-k", "2",
+                       "--max-rank", "3")
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] is True and doc["checks"] == 119
+    # a wrong recurrence is caught, on its own path only
+    monkeypatch.setattr(cli, "k_recurrence_finite", lambda rs, lam, mu: QSeries.zero())
+    code, out, _ = run(capsys, "verify", "--suite", "hesselink", "--max-k", "1",
+                       "--max-rank", "4")
+    doc = json.loads(out)
+    assert code == 1 and doc["failures"]
+    assert {f["path"] for f in doc["failures"]} == {"recurrence"}
+    assert {f["rs"][0] for f in doc["failures"]} == set("BCD")
+
+
 def test_verify_stable_hesselink_default_grid(capsys):
     # Morris/Pieri k_limit against Littlewood/LR harmonics, |lam| <= 10, k <= 8
     code, out, _ = run(capsys, "verify", "--suite", "stable-hesselink")
@@ -268,7 +305,7 @@ def test_verify_hl_inverse_default_grid(capsys):
 
 
 def test_verify_suites_keep_their_default_check_counts(capsys):
-    counts = {"duality": 30, "stability": 121, "hesselink": 29, "stable-hesselink": 2502,
+    counts = {"duality": 30, "stability": 121, "hesselink": 1238, "stable-hesselink": 2502,
               "degrees": 236, "pieri-oracle": 537, "hl-inverse": 17956}
     assert set(counts) == set(_SUITES)
     for suite, checks in counts.items():

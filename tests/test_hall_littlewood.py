@@ -148,6 +148,25 @@ def test_matmul_index_mismatch():
         k_matrix("so", 4, 2).matmul(k_matrix("so", 2, 2))
 
 
+def test_matmul_family_mismatch():
+    # same index, different family: no mixed product
+    for a, b in (("so", "sp"), ("sp", "so")):
+        with pytest.raises(ValueError, match="families"):
+            k_matrix(a, 3, 2).matmul(k_matrix(b, 3, 2))
+
+
+def test_matmul_degree_is_the_smaller_one():
+    # the product is known only modulo q^(D+1) for the smaller D, and its
+    # degree must say so, whichever factor is the coarser
+    for family in ("so", "sp"):
+        fine, coarse = k_matrix(family, 4, 2), k_matrix(family, 4, 1)
+        for a, b in ((fine, coarse), (coarse, fine)):
+            prod = a.matmul(b)
+            assert prod.degree == 1
+            assert all(e.trunc == 1 for e in prod.entries.values())
+            assert prod.entries == _naive_product(coarse, coarse)
+
+
 def _dense_back_substitution(km):
     """The unpruned inverse: every (lam, mu) pair of the window is solved."""
     D = km.degree

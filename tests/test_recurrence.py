@@ -10,8 +10,13 @@ from functools import cache
 
 import pytest
 
-from qweyl.branching import _sym_decomposition, harmonic_coeff_stable, sym_decomposition_finite
-from qweyl.partitions import dominates, enumerate_partitions, weight
+from qweyl.branching import (
+    _sym_decomposition,
+    harmonic_coeff_stable,
+    specialise,
+    sym_decomposition_finite,
+)
+from qweyl.partitions import dominates, enumerate_partitions, padded, weight
 from qweyl.pieri import _pieri_support, pieri_expand
 from qweyl.qkostant import _table, k_direct, weight_multiplicity
 from qweyl.qseries import QSeries
@@ -22,6 +27,7 @@ from qweyl.recurrence import (
     _k_finite,
     _k_limit,
     _morris_step,
+    _sigma,
     _step,
     k_limit,
     k_recurrence_finite,
@@ -110,9 +116,65 @@ def test_finite_pieri_dimension_audit():
                 if len(gamma) > n:
                     continue
                 for l in range(4):
-                    dec = _finite_pieri(kind, n, gamma, l)
+                    dec = dict(_finite_pieri(kind, n, gamma, l))
                     total = sum(m * weyl_dim(rs, lam) for lam, m in dec.items())
                     assert total == weyl_dim(rs, gamma) * weyl_dim(rs, (l,)), (rs, gamma, l)
+
+
+def _finite_pieri_unmemoised(kind, n, gamma, l):
+    """The finite Pieri step as a dict, built afresh on every call."""
+    out = specialise(pieri_expand(gamma, l), kind, n)
+    if kind != "D" or not gamma or len(gamma) < n:
+        return out
+    low = tuple(g - 1 for g in gamma)
+    diff = specialise(pieri_expand(low, l), "C", n)
+    if l >= 2:
+        for kappa, m in specialise(pieri_expand(low, l - 2), "C", n).items():
+            diff[kappa] = diff.get(kappa, 0) - m
+    for kappa, m in diff.items():
+        lam = tuple(k + 1 for k in padded(kappa, n))
+        out[lam] = out.get(lam, 0) + m
+        out[_sigma(kind, n, lam)] = out.get(_sigma(kind, n, lam), 0) - m
+    assert all(c % 2 == 0 for c in out.values()), (kind, n, gamma, l)
+    return {lam: c // 2 for lam, c in out.items() if c}
+
+
+def test_finite_pieri_memo_matches_unmemoised():
+    full_d = 0
+    for kind in "BCD":
+        for n in range(6):
+            for gamma in enumerate_partitions(6):
+                if len(gamma) > n:
+                    continue
+                full_d += kind == "D" and len(gamma) == n > 0
+                for l in range(5):
+                    got = _finite_pieri(kind, n, gamma, l)
+                    want = _finite_pieri_unmemoised(kind, n, gamma, l)
+                    # one pair per weight, no zero multiplicity
+                    assert len(got) == len(want) and dict(got) == want, (kind, n, gamma, l)
+                    hash(got)  # immutable, so the memo cannot be edited
+    assert full_d > 0
+
+
+def test_finite_memos_do_not_depend_on_call_order():
+    """From empty _finite_pieri and _k_finite tables, ranks 2-6 asked going
+    up and going down give the same values and fill the same entries."""
+    results, sizes = [], []
+    for ranks in (range(2, 7), range(6, 1, -1)):
+        _finite_pieri.cache_clear()
+        _k_finite.cache_clear()
+        values = {}
+        for n in ranks:
+            for kind in "BCD":
+                rs = RootSystem(kind, n)
+                for nu in enumerate_partitions(4):
+                    for mu in enumerate_partitions(weight(nu)):
+                        if max(len(nu), len(mu)) <= n and dominates(nu, mu):
+                            values[kind, n, nu, mu] = k_recurrence_finite(rs, nu, mu)
+        results.append(values)
+        sizes.append((_finite_pieri.cache_info().currsize, _k_finite.cache_info().currsize))
+    assert results[0] == results[1]
+    assert sizes[0] == sizes[1] and sizes[0][0] > 0
 
 
 def _both_signs(w, kind, n):
@@ -182,6 +244,7 @@ def test_memo_hits_return_same_object():
         (_k_limit, lambda: k_limit("sp", (3, 1), (1,), 5), True),
         (_sym_decomposition, lambda: sym_decomposition_finite(RootSystem("D", 3), 2), False),
         (_k_finite, lambda: k_recurrence_finite(RootSystem("B", 4), (2, 1), (1,)), True),
+        (_finite_pieri, lambda: _finite_pieri("D", 3, (2, 1, 1), 2), True),
     )
     for memo, call, shared in calls:
         first = call()
@@ -192,6 +255,10 @@ def test_memo_hits_return_same_object():
         else:
             assert again == first and again is not first
         assert memo.cache_info().hits > hits, memo
+    # the shared Pieri step is tuples of ints all the way down
+    step = _finite_pieri("D", 3, (2, 1, 1), 2)
+    assert isinstance(step, tuple) and step
+    hash(step)
 
 
 def test_pieri_memo_hits():
