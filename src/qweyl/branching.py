@@ -44,7 +44,8 @@ from .partitions import (
     weight,
 )
 from .qseries import QSeries
-from .rootsystems import RootSystem, degrees, dominant_dot, positive_roots
+from .rootsystems import (RootSystem, check_dominant, degrees, diagram_flip, dominant_dot,
+                          positive_roots)
 
 _FAMILIES = ("so", "sp")
 # N = 2n + _N_OFFSET[kind] in the modification rules of specialise
@@ -56,12 +57,12 @@ class CharExpansion:
     """A finite sum of universal (or finite-rank) characters with QSeries
     coefficients: sum over terms of coeff(q) * s_lambda^{basis}."""
 
-    basis: str  # "gl" | "so" | "sp"
+    basis: str  # "so" | "sp"
     terms: dict[Partition, QSeries] = field(default_factory=dict)
     rank: Optional[int] = None
 
     def __post_init__(self):
-        if self.basis not in ("gl", "so", "sp"):
+        if self.basis not in _FAMILIES:
             raise ValueError(f"unknown basis {self.basis!r}")
         self.terms = {
             lam: c for lam, c in self.terms.items() if not c.is_zero()
@@ -144,7 +145,7 @@ def specialise(expansion: dict[Partition, int], kind: str, n: int) -> dict[tuple
     strip removed, over c = h - #{beta_j < h} columns, has sign (-1)^c for
     sp and (-1)^(c-1) for so.  Keys follow sym_decomposition_finite: no
     trailing zeros, and in type D a nonempty key of length n adds its
-    mirror key.
+    mirror key, its diagram flip.
     """
     if kind not in _N_OFFSET:
         raise ValueError(f"unknown type {kind!r}")
@@ -164,8 +165,8 @@ def specialise(expansion: dict[Partition, int], kind: str, n: int) -> dict[tuple
             beta = sorted([b for b in beta if b != h] + [0], reverse=True)
             lam = tuple(p for p in (b - l + i for i, b in enumerate(beta, 1)) if p)
         out[lam] = out.get(lam, 0) + m
-        if kind == "D" and lam and len(lam) == n:
-            mirror = lam[:-1] + (-lam[-1],)
+        mirror = diagram_flip(kind, n, lam)
+        if mirror != lam:
             out[mirror] = out.get(mirror, 0) + m
     return {lam: c for lam, c in out.items() if c}
 
@@ -179,13 +180,7 @@ def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], in
     Keys are highest weights as integer tuples without trailing zeros;
     in type D the last coordinate may be negative (mirror modules).
     """
-    # a fresh dict per call, so a caller cannot corrupt the memo
-    return dict(_sym_decomposition(rs, check_bound(k, "k")))
-
-
-@cache
-def _sym_decomposition(rs: RootSystem, k: int) -> dict[tuple[int, ...], int]:
-    """sym_decomposition_finite on an integer k >= 0."""
+    check_bound(k, "k")
     return specialise(
         {lam: _sym_mult(rs.family, k, lam) for lam in enumerate_partitions(2 * k)},
         rs.kind,
@@ -228,11 +223,9 @@ def _sym_decomposition_by_weights(rs: RootSystem, k: int) -> dict[tuple[int, ...
 
 
 def sym_mult_finite(rs: RootSystem, k: int, lam: Partition) -> int:
-    """Multiplicity of V(lam) in S^k(g) at finite rank."""
-    check_bound(k, "k")
-    lam = check_partition(lam)
-    if len(lam) > rs.rank:
-        raise ValueError("partition longer than the rank")
+    """Multiplicity of V(lam) in S^k(g) at finite rank, lam dominant (in
+    type D a mirror weight is allowed)."""
+    lam = check_dominant(rs, lam)
     return sym_decomposition_finite(rs, k).get(lam, 0)
 
 
@@ -282,8 +275,6 @@ def harmonic_char_finite(rs: RootSystem, k: int) -> CharExpansion:
 
 def phi(expansion: CharExpansion) -> CharExpansion:
     """The involution swapping so and sp bases and conjugating indices."""
-    if expansion.basis not in _FAMILIES:
-        raise ValueError("phi is defined on so/sp expansions only")
     if expansion.rank is not None:
         raise ValueError("phi acts on universal characters (rank must be absent)")
     other = "sp" if expansion.basis == "so" else "so"

@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__, lr, pieri
-from .branching import _sym_decomposition, _sym_mult, harmonic_char_finite, harmonic_coeff_stable
+from .branching import _sym_mult, harmonic_char_finite, harmonic_coeff_stable
 from .partitions import (Partition, _partitions_in_class, check_bound, check_partition, conjugate,
                          dominates, enumerate_partitions, weight)
 from .qkostant import _table, k_direct
@@ -30,7 +30,7 @@ OK, VERIFY_FAILED, USAGE_ERROR = 0, 1, 2
 
 # held here, so that a wrapper bound over a module attribute later does
 # not hide cache_info()
-_CACHED = (rho_doubled, _table, _sym_decomposition, _sym_mult, _k_finite, _finite_pieri,
+_CACHED = (rho_doubled, _table, _sym_mult, _k_finite, _finite_pieri,
            _k_limit, _morris_step, pieri._pieri_support, _partitions_in_class)
 
 
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -48,10 +48,8 @@ def _count_fillings(nu: Partition, lam: Partition, gamma: Partition) -> int:
             return 1
         i, j = cells[idx]
         right = grid[i][j + 1] if j + 1 < nu[i] else m
-        above = grid[i - 1][j] if i > 0 and j < nu[i - 1] and j >= lam_p[i - 1] else 0
-        # cells above inside lambda hold no letter (treated as 0)
-        if i > 0 and j < lam_p[i - 1]:
-            above = 0
+        # cells inside lambda hold no letter (0); j < nu[i] <= nu[i - 1]
+        above = grid[i - 1][j] if i > 0 else 0
         total = 0
         lo = above + 1
         hi = right

@@ -123,10 +123,9 @@ def _table(rs: RootSystem) -> QKostantTable:
     return QKostantTable(rs)
 
 
-def q_kostant(rs: RootSystem, beta, trunc=None) -> QSeries:
+def q_kostant(rs: RootSystem, beta) -> QSeries:
     """P_q(beta): multisets of positive roots summing to beta, by size."""
-    coeffs = _table(rs).pq_coeffs(integral_parts(beta))
-    return QSeries(coeffs, trunc)
+    return QSeries(_table(rs).pq_coeffs(integral_parts(beta)))
 
 
 def k_direct(rs: RootSystem, lam: Partition, mu: Partition) -> QSeries:

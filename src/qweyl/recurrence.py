@@ -24,7 +24,7 @@ from .branching import specialise
 from .partitions import Partition, check_bound, check_partition, padded, weight
 from .pieri import pieri_expand
 from .qseries import QSeries
-from .rootsystems import RootSystem, check_dominant
+from .rootsystems import RootSystem, check_dominant, diagram_flip
 
 _FAMILIES = ("so", "sp")
 
@@ -55,9 +55,9 @@ def _finite_pieri(kind: str, n: int, gamma: Partition, l: int) -> tuple[tuple[tu
 
     In type D with l(gamma) = n > 0, [gamma] of O(2n) restricts to V(gamma)
     + V(gamma-bar), so the specialisation is S = X + sigma(X) for the wanted
-    X.  As ch(lam) - ch(lam-bar) = E ch^C(lam - 1^n), E = prod(x_i - 1/x_i),
-    and V((l)) = ch^C(l) - ch^C(l-2), X - sigma(X) is read off the C_n
-    products of gamma - 1^n.
+    X, sigma the diagram flip.  As ch(lam) - ch(lam-bar) = E ch^C(lam - 1^n),
+    E = prod(x_i - 1/x_i), and V((l)) = ch^C(l) - ch^C(l-2), X - sigma(X)
+    is read off the C_n products of gamma - 1^n.
     """
     out = specialise(pieri_expand(gamma, l), kind, n)
     if kind != "D" or not gamma or len(gamma) < n:
@@ -70,17 +70,10 @@ def _finite_pieri(kind: str, n: int, gamma: Partition, l: int) -> tuple[tuple[tu
     for kappa, m in diff.items():
         lam = tuple(k + 1 for k in padded(kappa, n))
         out[lam] = out.get(lam, 0) + m
-        out[_sigma(kind, n, lam)] = out.get(_sigma(kind, n, lam), 0) - m
+        mirror = diagram_flip(kind, n, lam)
+        out[mirror] = out.get(mirror, 0) - m
     assert all(c % 2 == 0 for c in out.values()), (kind, n, gamma, l)
     return tuple((lam, c // 2) for lam, c in out.items() if c)
-
-
-def _sigma(kind: str, n: int, w: tuple) -> tuple:
-    """Type-D diagram automorphism on dominant weights (negate the last
-    coordinate when the weight has full length)."""
-    if kind == "D" and len(w) == n and w[-1] != 0:
-        return w[:-1] + (-w[-1],)
-    return w
 
 
 @cache
@@ -90,8 +83,7 @@ def _k_finite(kind: str, n: int, nu_w: tuple, mu_w: tuple) -> QSeries:
     if not n:
         return QSeries.one()
     if nu_w and nu_w[-1] < 0:
-        # flip both weights through the diagram automorphism
-        return _k_finite(kind, n, _sigma(kind, n, nu_w), _sigma(kind, n, mu_w))
+        return _k_finite(kind, n, diagram_flip(kind, n, nu_w), diagram_flip(kind, n, mu_w))
     mu_flat = mu_w[1:]
     return QSeries.combination(
         (sign * pc, shift, _k_finite(kind, n - 1, lam, mu_flat))
@@ -153,9 +145,10 @@ def _morris_step(family: str, nu: Partition, mu1: int) -> tuple[tuple[int, int, 
 
 
 def degree_bounds(rs: RootSystem, nu: Partition, mu: Partition) -> tuple[int, int]:
-    """(lower, upper) degree window for a nonzero K_{nu,mu}(q); the upper
-    bound is attained with coefficient 1 whenever the polynomial is nonzero."""
-    nu, mu = check_partition(nu), check_partition(mu)
+    """(lower, upper) degree window for a nonzero K_{nu,mu}(q), nu and mu
+    dominant (type-D mirror weights allowed); the upper bound is attained
+    with coefficient 1 whenever the polynomial is nonzero."""
+    nu, mu = check_dominant(rs, nu), check_dominant(rs, mu)
     n = rs.rank
     nu_p, mu_p = padded(nu, n), padded(mu, n)
     diff = weight(nu) - weight(mu)

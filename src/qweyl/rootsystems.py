@@ -12,6 +12,7 @@ caller (partitions, w o lambda - mu) are converted back to plain integers.
 __all__ = [
     "RootSystem",
     "check_dominant",
+    "diagram_flip",
     "SignedPermutation",
     "positive_roots",
     "rho",
@@ -58,14 +59,26 @@ class RootSystem:
         return "sp" if self.kind == "C" else "so"
 
 
+def diagram_flip(kind: str, n: int, w: tuple) -> tuple:
+    """The type-D diagram automorphism on dominant weights of rank n >= 0
+    (ranks 0 and 1 have no RootSystem): negate the last coordinate of a
+    full-length weight.  Other weights, and types B and C, are fixed."""
+    if kind == "D" and w and len(w) == n:
+        return w[:-1] + (-w[-1],)
+    return w
+
+
 def check_dominant(rs: RootSystem, w) -> tuple[int, ...]:
     """w as a dominant weight of rs: a partition of length <= rank or, in
-    type D, a mirror weight (full length, w_n < 0, |w_n| <= w_{n-1})."""
+    type D, a mirror weight (full length, w_n < 0), the diagram flip of a
+    partition."""
     w = integral_parts(w)
     if rs.kind == "D" and len(w) == rs.rank and w[-1] < 0:
-        if w[-1] + w[-2] < 0:
-            raise ValueError(f"{w} is not a dominant weight of {rs}")
-        return check_partition(w[:-1]) + w[-1:]
+        try:
+            check_partition(diagram_flip(rs.kind, rs.rank, w))
+        except ValueError:
+            raise ValueError(f"{w} is not a dominant weight of {rs}") from None
+        return w
     p = check_partition(w)
     if len(p) > rs.rank:
         raise ValueError(f"partition {p} longer than the rank of {rs}")

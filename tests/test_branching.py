@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from qweyl.branching import (
     CharExpansion,
-    _sym_decomposition,
     _sym_decomposition_by_weights,
     _sym_mult,
     branching,
@@ -177,6 +176,20 @@ def test_specialise_matches_weight_system(kind, n, ks):
         assert sym_decomposition_finite(rs, k) == _sym_decomposition_by_weights(rs, k), (rs, k)
 
 
+def test_sym_mult_finite_reads_every_key_mirrors_included():
+    # every key of the decomposition, a type-D mirror weight included, is
+    # a valid argument of sym_mult_finite and reads its multiplicity back
+    mirrors = 0
+    for n in range(2, 7):
+        rs = RootSystem("D", n)
+        for k in range(5):
+            for lam, m in sym_decomposition_finite(rs, k).items():
+                assert sym_mult_finite(rs, k, lam) == m, (rs, k, lam)
+                mirrors += bool(lam) and lam[-1] < 0
+    assert mirrors
+    assert sym_mult_finite(RootSystem("D", 3), 3, (2, 1, -1)) == 1
+
+
 @pytest.mark.parametrize("kind, n", [(kind, n) for kind in "BCD" for n in (2, 3, 4)])
 def test_harmonic_finite_matches_weight_system(kind, n):
     # the Euler factor of the degrees times S(g), decomposed by the oracle
@@ -320,7 +333,7 @@ _bad_ranks = st.one_of(st.integers(max_value=1), st.sampled_from([2.5, 3.0, -1.5
 @settings(max_examples=60, deadline=None)
 @given(_systems, _bad_shapes, _bad_degrees, _bad_ranks)
 def test_invalid_finite_inputs_raise_value_error(rs, bad, k, rank):
-    tables = (_table, _k_finite, _sym_decomposition)
+    tables = (_table, _k_finite, _sym_mult)
     before = [t.cache_info() for t in tables]
     calls = [
         lambda: k_direct(rs, bad, ()),

@@ -70,8 +70,7 @@ def test_json_meta_reports_every_memo_table(capsys):
     assert set(stats) == {"tables"}
     tables = stats["tables"]
     assert set(tables) == {
-        "rootsystems.rho_doubled", "qkostant._table", "branching._sym_decomposition",
-        "branching._sym_mult", "recurrence._k_finite", "recurrence._finite_pieri",
+        "rootsystems.rho_doubled", "qkostant._table", "branching._sym_mult", "recurrence._k_finite", "recurrence._finite_pieri",
         "recurrence._k_limit", "recurrence._morris_step", "pieri._pieri_support",
         "partitions._partitions_in_class",
         "lr.lr_cache",
@@ -93,7 +92,7 @@ def test_every_memo_table_is_reported():
             for member in members:
                 if callable(member) and hasattr(member, "cache_info"):
                     memos[id(member)] = member
-    assert len(memos) == len(cli._CACHED) == 10
+    assert len(memos) == len(cli._CACHED) == 9
     assert set(memos) == {id(fn) for fn in cli._CACHED}
 
 
@@ -125,6 +124,9 @@ def test_usage_errors(capsys):
         ("verify", "--suite", "stability", "--max-k", "-3"),
         # a grid with no check in it
         ("verify", "--suite", "stability", "--max-weight", "0", "--max-k", "0"),
+        # a rank past the depth of the Python stack
+        ("k", "--type", "B", "--rank", "260", "--lam", "1"),
+        ("k", "--type", "B", "--rank", "260", "--lam", "1", "--method", "recurrence"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv

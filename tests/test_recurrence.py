@@ -10,12 +10,7 @@ from functools import cache
 
 import pytest
 
-from qweyl.branching import (
-    _sym_decomposition,
-    harmonic_coeff_stable,
-    specialise,
-    sym_decomposition_finite,
-)
+from qweyl.branching import harmonic_coeff_stable, specialise
 from qweyl.partitions import dominates, enumerate_partitions, padded, weight
 from qweyl.pieri import _pieri_support, pieri_expand
 from qweyl.qkostant import _table, k_direct, weight_multiplicity
@@ -27,12 +22,11 @@ from qweyl.recurrence import (
     _k_finite,
     _k_limit,
     _morris_step,
-    _sigma,
     _step,
     k_limit,
     k_recurrence_finite,
 )
-from qweyl.rootsystems import RootSystem, weyl_dim
+from qweyl.rootsystems import RootSystem, diagram_flip, weyl_dim
 
 
 def test_step_examples():
@@ -134,7 +128,8 @@ def _finite_pieri_unmemoised(kind, n, gamma, l):
     for kappa, m in diff.items():
         lam = tuple(k + 1 for k in padded(kappa, n))
         out[lam] = out.get(lam, 0) + m
-        out[_sigma(kind, n, lam)] = out.get(_sigma(kind, n, lam), 0) - m
+        mirror = diagram_flip(kind, n, lam)
+        out[mirror] = out.get(mirror, 0) - m
     assert all(c % 2 == 0 for c in out.values()), (kind, n, gamma, l)
     return {lam: c // 2 for lam, c in out.items() if c}
 
@@ -238,22 +233,16 @@ def test_recurrence_never_reaches_the_oracle():
 
 
 def test_memo_hits_return_same_object():
-    # the immutable QSeries results are shared; the dict of
-    # sym_decomposition_finite is copied, so a caller cannot edit the memo
+    # the immutable QSeries and tuple results are shared
     calls = (
-        (_k_limit, lambda: k_limit("sp", (3, 1), (1,), 5), True),
-        (_sym_decomposition, lambda: sym_decomposition_finite(RootSystem("D", 3), 2), False),
-        (_k_finite, lambda: k_recurrence_finite(RootSystem("B", 4), (2, 1), (1,)), True),
-        (_finite_pieri, lambda: _finite_pieri("D", 3, (2, 1, 1), 2), True),
+        (_k_limit, lambda: k_limit("sp", (3, 1), (1,), 5)),
+        (_k_finite, lambda: k_recurrence_finite(RootSystem("B", 4), (2, 1), (1,))),
+        (_finite_pieri, lambda: _finite_pieri("D", 3, (2, 1, 1), 2)),
     )
-    for memo, call, shared in calls:
+    for memo, call in calls:
         first = call()
         hits = memo.cache_info().hits
-        again = call()
-        if shared:
-            assert again is first
-        else:
-            assert again == first and again is not first
+        assert call() is first
         assert memo.cache_info().hits > hits, memo
     # the shared Pieri step is tuples of ints all the way down
     step = _finite_pieri("D", 3, (2, 1, 1), 2)
@@ -398,6 +387,7 @@ def test_degree_bounds_examples():
     assert degree_bounds(RootSystem("C", 2), (2,), ()) == (1, 3)
     assert degree_bounds(RootSystem("B", 3), (1,), ()) == (1, 3)
     assert degree_bounds(RootSystem("D", 3), (2, 1, 1), (2, 1, 1)) == (0, 0)
+    assert degree_bounds(RootSystem("D", 3), (2, 2, -2), ()) == (1, 6)
 
 
 def test_degree_bounds_hold_and_top_is_monic():
@@ -415,6 +405,28 @@ def test_degree_bounds_hold_and_top_is_monic():
                 lo, hi = degree_bounds(rs, nu, mu)
                 assert lo <= series.low_degree()
                 assert series.degree() == hi and series[hi] == 1, (kind, nu, mu)
+
+
+def test_degree_bounds_hold_for_mirror_weights():
+    # the degree window is the same formula on signed type-D weights; the
+    # cells are those with a mirror weight nu or mu, |nu|, |mu| <= 6
+    cells = 0
+    for n in (2, 3, 4):
+        rs = RootSystem("D", n)
+        weights = [p for p in enumerate_partitions(6) if len(p) <= n]
+        weights += [p[:-1] + (-p[-1],) for p in weights if len(p) == n]
+        for nu in weights:
+            for mu in weights:
+                if min(nu + mu + (0,)) >= 0:
+                    continue
+                series = k_direct(rs, nu, mu)
+                if series.is_zero():
+                    continue
+                cells += 1
+                lo, hi = degree_bounds(rs, nu, mu)
+                assert lo <= series.low_degree(), (rs, nu, mu)
+                assert series.degree() == hi and series[hi] == 1, (rs, nu, mu)
+    assert cells == 198
 
 
 def test_brylinski_dims():

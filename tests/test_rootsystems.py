@@ -6,6 +6,8 @@ import pytest
 from qweyl.rootsystems import (
     RootSystem,
     SignedPermutation,
+    check_dominant,
+    diagram_flip,
     degrees,
     dominant_dot,
     dot_action,
@@ -24,6 +26,38 @@ def test_validation():
         RootSystem("A", 3)
     with pytest.raises(ValueError):
         RootSystem("B", 1)
+
+
+def test_diagram_flip():
+    assert diagram_flip("D", 3, (2, 1, 1)) == (2, 1, -1)
+    assert diagram_flip("D", 3, (2, 1, -1)) == (2, 1, 1)
+    # a shorter weight, types B and C, and the empty weight at rank 0 are fixed
+    assert diagram_flip("D", 3, (2, 1)) == (2, 1)
+    assert diagram_flip("B", 2, (1, 1)) == diagram_flip("C", 2, (1, 1)) == (1, 1)
+    assert diagram_flip("D", 0, ()) == ()
+
+
+def test_check_dominant_takes_a_mirror_as_the_flip_of_a_partition():
+    D3 = RootSystem("D", 3)
+    assert check_dominant(D3, (2, 1, -1)) == (2, 1, -1)
+    assert check_dominant(D3, (2.0, 2, -2)) == (2, 2, -2)
+    for bad in ((1, 0, -1), (1, 1, -2), (2, -1, -1), (1, -1), (1, 1, 1, -1)):
+        with pytest.raises(ValueError):
+            check_dominant(D3, bad)
+    # only type D has mirror weights
+    with pytest.raises(ValueError):
+        check_dominant(RootSystem("B", 3), (2, 1, -1))
+    # in a box, a full-length weight with w_n < 0 is accepted exactly when
+    # its flip is a partition
+    for w in product(range(-3, 4), repeat=3):
+        if w[-1] >= 0:
+            continue
+        flipped = w[:2] + (-w[2],)
+        if all(a >= b for a, b in zip(flipped, flipped[1:])):
+            assert check_dominant(D3, w) == w
+        else:
+            with pytest.raises(ValueError):
+                check_dominant(D3, w)
 
 
 def test_root_counts():
