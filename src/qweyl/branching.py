@@ -7,11 +7,10 @@ This is the second, independent route to K_{lambda,empty}(q): the stable
 S^k(g) multiplicities are Littlewood-Richardson sums over even-row /
 even-column partitions, and every finite rank reads them through one
 specialisation (the modification rules), for S^k(g) and for the
-harmonics alike.  Decomposing S^k(g) from its weight system (a
-Brauer-Klimyk step: each weight, shifted by rho, is reflected into the
-dominant chamber with its sign, and weights on a wall cancel) is kept
-as the test oracle of that path, _sym_decomposition_by_weights, which
-nothing in the library calls.
+harmonics alike.  The tests check that path against S^k(g) decomposed
+from its weight system (a Brauer-Klimyk step: each weight, shifted by
+rho, is reflected into the dominant chamber with its sign, and weights
+on a wall cancel).
 """
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
 
 from dataclasses import dataclass, field
 from functools import cache
-from math import comb
 from typing import Optional
 
 from .lr import lr_coefficient
@@ -44,8 +42,7 @@ from .partitions import (
     weight,
 )
 from .qseries import QSeries
-from .rootsystems import (RootSystem, check_dominant, degrees, diagram_flip, dominant_dot,
-                          positive_roots)
+from .rootsystems import RootSystem, check_dominant, degrees, diagram_flip
 
 _FAMILIES = ("so", "sp")
 # N = 2n + _N_OFFSET[kind] in the modification rules of specialise
@@ -186,40 +183,6 @@ def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], in
         rs.kind,
         rs.rank,
     )
-
-
-def _sym_decomposition_by_weights(rs: RootSystem, k: int) -> dict[tuple[int, ...], int]:
-    """Test oracle for sym_decomposition_finite: S^k(g) decomposed from its
-    weight system (doubled coordinates), with no stable multiplicity."""
-    n = rs.rank
-    zero = (0,) * n
-    # degree -> weight -> multiplicity, from the root vectors only
-    layers: list[dict[tuple[int, ...], int]] = [{zero: 1}] + [{} for _ in range(k)]
-    all_roots = []
-    for r in positive_roots(rs):
-        all_roots.append(r)
-        all_roots.append(tuple(-c for c in r))
-    for alpha in all_roots:
-        for d in range(k, 0, -1):
-            for j in range(1, d + 1):
-                shift = tuple(j * c for c in alpha)
-                for w, m in layers[d - j].items():
-                    key = tuple(a + b for a, b in zip(w, shift))
-                    layers[d][key] = layers[d].get(key, 0) + m
-    # Cartan part: n commuting weight-zero generators, C(n + j - 1, j) in degree j
-    weights: dict[tuple[int, ...], int] = {}
-    for j in range(k + 1):
-        c = comb(n + j - 1, j)
-        for w, m in layers[k - j].items():
-            weights[w] = weights.get(w, 0) + c * m
-    # Brauer-Klimyk with V(0): each weight wt of multiplicity m adds
-    # sign(w) m V(w o wt); weights with wt + rho on a wall add nothing
-    out: dict[tuple[int, ...], int] = {}
-    for wt, m in weights.items():
-        sign, lam = dominant_dot(rs, wt)
-        if sign:
-            out[lam] = out.get(lam, 0) + sign * m
-    return {lam: c for lam, c in out.items() if c}
 
 
 def sym_mult_finite(rs: RootSystem, k: int, lam: Partition) -> int:

@@ -19,7 +19,7 @@ from . import __version__, lr, pieri
 from .branching import _sym_mult, harmonic_char_finite, harmonic_coeff_stable
 from .partitions import (Partition, _partitions_in_class, check_bound, check_partition, conjugate,
                          dominates, enumerate_partitions, weight)
-from .qkostant import _table, k_direct
+from .qkostant import _direct_table, _table, k_direct
 from .qseries import QSeries
 from .recurrence import (_finite_pieri, _k_finite, _k_limit, _morris_step, degree_bounds, k_limit,
                          k_recurrence_finite)
@@ -62,21 +62,25 @@ def _result(lam, mu, series: QSeries) -> dict:
     return {"lambda": list(lam), "mu": list(mu), "coeffs": series.pairs()}
 
 
-def _emit_json(command: str, params: dict, results: list[dict], t0: float) -> str:
-    return json.dumps(
+def _emit_json(command: str, params: dict, results: list[dict], t0: float, **meta) -> str:
+    """One JSON object: the header on the first line, then one line per
+    result.  `meta` adds keys beside `cache_stats`."""
+    head = json.dumps(
         {
             "command": command,
             "params": params,
-            "results": results,
             "meta": {
                 "versions": {"qweyl": __version__},
                 "cache_stats": {"tables": table_stats()},
                 "wall_ms": int((time.perf_counter() - t0) * 1000),
+                **meta,
             },
         },
-        indent=2,
         sort_keys=True,
     )
+    lines = ",\n".join(json.dumps(r, sort_keys=True) for r in results)
+    # "results" sorts after every header key
+    return f'{head[:-1]}, "results": [\n{lines}\n]}}'
 
 
 # -- k ------------------------------------------------------------------
@@ -84,6 +88,7 @@ def _emit_json(command: str, params: dict, results: list[dict], t0: float) -> st
 
 def cmd_k(args) -> int:
     t0 = time.perf_counter()
+    meta = {}
     if (args.family is None) == (args.type is None):
         print("error: give exactly one of --family or --type/--rank", file=sys.stderr)
         return USAGE_ERROR
@@ -104,14 +109,18 @@ def cmd_k(args) -> int:
             print("error: --trunc applies only to --family", file=sys.stderr)
             return USAGE_ERROR
         rs = RootSystem(args.type, args.rank)
-        if args.method == "recurrence":
-            series = k_recurrence_finite(rs, args.lam, args.mu)
-        else:
+        method = args.method or "recurrence"
+        if method == "direct":
             series = k_direct(rs, args.lam, args.mu)
-        params = {"type": args.type, "rank": args.rank, "method": args.method or "direct"}
+            # P_q entries filled over the chain of tables k_direct read
+            meta["pq_states"] = _direct_table(rs, args.lam, args.mu).states()
+        else:
+            series = k_recurrence_finite(rs, args.lam, args.mu)
+            meta["pq_states"] = 0
+        params = {"type": args.type, "rank": args.rank, "method": method}
     if args.format == "json":
         params.update({"lambda": list(args.lam), "mu": list(args.mu)})
-        print(_emit_json("k", params, [_result(args.lam, args.mu, series)], t0))
+        print(_emit_json("k", params, [_result(args.lam, args.mu, series)], t0, **meta))
     else:
         print(series)
     return OK
@@ -331,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--lam", type=parse_partition, required=True)
     k.add_argument("--mu", type=parse_partition, default=())
     k.add_argument("--trunc", type=int)
-    k.add_argument("--method", choices=("direct", "recurrence"))
+    k.add_argument("--method", choices=("direct", "recurrence"),
+                   help="direct: the Weyl alternating sum of P_q; default recurrence")
     k.add_argument("--format", choices=("text", "json"), default="text")
     k.set_defaults(fn=cmd_k)
 

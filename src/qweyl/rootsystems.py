@@ -98,16 +98,6 @@ class SignedPermutation:
             out[self.perm[j]] = -b if j in self.flips else b
         return tuple(out)
 
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """self after other, as maps on weights: (self*other).act = self.act o other.act."""
-        perm = tuple(self.perm[p] for p in other.perm)
-        flips = frozenset(
-            k
-            for k in range(len(perm))
-            if (k in other.flips) != (other.perm[k] in self.flips)
-        )
-        return SignedPermutation(perm, flips)
-
     @property
     def sign(self) -> int:
         return _perm_parity(self.perm) * (-1) ** len(self.flips)

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from qweyl.branching import (
     CharExpansion,
-    _sym_decomposition_by_weights,
     _sym_mult,
     branching,
     euler_factor_coeffs,
@@ -32,7 +31,41 @@ from qweyl.pieri import _pieri_support, pieri_expand, stable_pieri
 from qweyl.qkostant import _table, k_direct
 from qweyl.qseries import QSeries
 from qweyl.recurrence import _k_finite, brylinski_dims, degree_bounds, k_limit, k_recurrence_finite
-from qweyl.rootsystems import RootSystem, degrees, weyl_dim
+from qweyl.rootsystems import RootSystem, degrees, dominant_dot, positive_roots, weyl_dim
+
+
+def _sym_decomposition_by_weights(rs: RootSystem, k: int) -> dict[tuple[int, ...], int]:
+    """Oracle for sym_decomposition_finite: S^k(g) decomposed from its
+    weight system (doubled coordinates), with no stable multiplicity."""
+    n = rs.rank
+    zero = (0,) * n
+    # degree -> weight -> multiplicity, from the root vectors only
+    layers: list[dict[tuple[int, ...], int]] = [{zero: 1}] + [{} for _ in range(k)]
+    all_roots = []
+    for r in positive_roots(rs):
+        all_roots.append(r)
+        all_roots.append(tuple(-c for c in r))
+    for alpha in all_roots:
+        for d in range(k, 0, -1):
+            for j in range(1, d + 1):
+                shift = tuple(j * c for c in alpha)
+                for w, m in layers[d - j].items():
+                    key = tuple(a + b for a, b in zip(w, shift))
+                    layers[d][key] = layers[d].get(key, 0) + m
+    # Cartan part: n commuting weight-zero generators, C(n + j - 1, j) in degree j
+    weights: dict[tuple[int, ...], int] = {}
+    for j in range(k + 1):
+        c = comb(n + j - 1, j)
+        for w, m in layers[k - j].items():
+            weights[w] = weights.get(w, 0) + c * m
+    # Brauer-Klimyk with V(0): each weight wt of multiplicity m adds
+    # sign(w) m V(w o wt); weights with wt + rho on a wall add nothing
+    out: dict[tuple[int, ...], int] = {}
+    for wt, m in weights.items():
+        sign, lam = dominant_dot(rs, wt)
+        if sign:
+            out[lam] = out.get(lam, 0) + sign * m
+    return {lam: c for lam, c in out.items() if c}
 
 
 def test_branching_small_values():

@@ -14,6 +14,7 @@ from qweyl import cli, lr
 from qweyl.cache import CorruptCacheError, cache_load, cache_save
 from qweyl.cli import _SUITES, main, parse_partition
 from qweyl.partitions import dominates, enumerate_partitions, weight
+from qweyl.qkostant import _table
 from qweyl.qseries import QSeries
 from qweyl.recurrence import k_limit
 
@@ -39,7 +40,8 @@ def test_k_finite_text(capsys):
 
 
 def test_k_recurrence_agrees(capsys):
-    base = run(capsys, "k", "--type", "B", "--rank", "3", "--lam", "2,1", "--mu", "1")
+    base = run(capsys, "k", "--type", "B", "--rank", "3", "--lam", "2,1", "--mu", "1",
+               "--method", "direct")
     rec = run(
         capsys, "k", "--type", "B", "--rank", "3", "--lam", "2,1", "--mu", "1",
         "--method", "recurrence",
@@ -331,11 +333,35 @@ def test_verify_hl_inverse_reports_failures(capsys, monkeypatch):
 
 
 def test_k_json_params_name_the_default_method(capsys):
-    for argv, method in (((), "direct"), (("--method", "recurrence"), "recurrence")):
+    for argv, method in (((), "recurrence"), (("--method", "recurrence"), "recurrence"),
+                         (("--method", "direct"), "direct")):
         code, out, _ = run(capsys, "k", "--type", "B", "--rank", "3", "--lam", "2",
                            "--format", "json", *argv)
         assert code == 0
         assert json.loads(out)["params"]["method"] == method
+
+
+def test_k_json_meta_reports_pq_states(capsys):
+    # every entry of the B6..B2 P_q tables k_direct filled, beside cache_stats;
+    # the tables are per process, so start them empty as a command does
+    for method, states in (("direct", 761), ("recurrence", 0)):
+        _table.cache_clear()
+        code, out, _ = run(capsys, "k", "--type", "B", "--rank", "6", "--lam", "3",
+                           "--method", method, "--format", "json")
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        assert meta["pq_states"] == states
+        assert set(meta) == {"versions", "cache_stats", "wall_ms", "pq_states"}
+
+
+def test_json_puts_each_result_on_its_own_line(capsys):
+    code, out, _ = run(capsys, "table", "--family", "so", "--max-weight", "4", "--trunc", "4")
+    assert code == 0
+    doc = json.loads(out)
+    lines = out.strip().split("\n")
+    assert len(doc["results"]) > 10
+    assert len(lines) == len(doc["results"]) + 2
+    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == doc["results"]
 
 
 def test_cache_round_trip(tmp_path):

@@ -7,11 +7,13 @@ shares nothing with the B/C/D machinery.
 """
 
 from itertools import accumulate, permutations, product
+from math import comb
 
 import pytest
 
 from qweyl.partitions import dominates, enumerate_partitions, padded, weight
-from qweyl.qkostant import k_direct, q_kostant, weight_multiplicity
+from qweyl.qkostant import (QKostantTable, _direct_table, _table, _unpack, k_direct, pq_width,
+                            q_kostant, weight_multiplicity)
 from qweyl.qseries import QSeries
 from qweyl.rootsystems import (
     RootSystem,
@@ -115,6 +117,171 @@ def test_pq_peeling_against_naive_enumeration():
                     seen["outside_cone"] += 1
                     assert not want, (rs, beta)
     assert all(seen.values()), seen
+
+
+# -- the packed table against the dict peel it replaced -----------------
+
+
+def _dict_tails(tail, budget):
+    """Every tail - d with sum |d_j| <= budget and nonnegative prefix sums,
+    with budget - sum |d_j|: every e, odd ones included."""
+    level = [((), budget, 0)]
+    for tk in tail:
+        level = [
+            (head + (x,), left - abs(tk - x), prefix + x)
+            for head, left, prefix in level
+            for x in range(max(tk - left, -prefix), tk + left + 1)
+        ]
+    return [(head, left) for head, left, _ in level]
+
+
+def _dict_block(kind, m, s, e):
+    if kind == "B":
+        return ((s, comb(e // 2 + m, m)),)
+    if e % 2:
+        return ()
+    if kind == "D":
+        return ((s, comb(e // 2 + m - 1, m - 1)),)
+    return tuple((s - c, comb(e // 2 - c + m - 1, m - 1)) for c in range(e // 2 + 1))
+
+
+def _dict_rank_one(kind, b):
+    if kind == "B":
+        return {b: 1}
+    if kind == "C":
+        return {} if b % 2 else {b // 2: 1}
+    return {} if b else {0: 1}
+
+
+def dict_peel(kind, beta, memo, cut):
+    """P_q(beta) as {degree: coefficient}, by the peel with {k: c} dicts
+    that the packed table replaced, unpruned: every rest is looked up and
+    multiplied by its block, also at odd e, where a C or D block is
+    empty.  cut[kind] counts those odd-e rests with P_q(rest) != 0."""
+    if beta in memo:
+        return memo[beta]
+    s, tail = beta[0], beta[1:]
+    acc = {}
+    for rest, e in _dict_tails(tail, s):
+        if len(rest) == 1:
+            sub = _dict_rank_one(kind, rest[0])
+        else:
+            sub = dict_peel(kind, rest, memo, cut)
+        block = _dict_block(kind, len(tail), s, e)
+        if sub and not block:
+            cut[kind] = cut.get(kind, 0) + 1
+        for deg, c in sub.items():
+            for bdeg, bc in block:
+                acc[deg + bdeg] = acc.get(deg + bdeg, 0) + c * bc
+    memo[beta] = acc
+    return acc
+
+
+def _chain(tab):
+    while tab is not None:
+        yield tab
+        tab = tab.lower
+
+
+def _packed_against_dict_peel():
+    """(states compared, odd-e rests with nonzero P_q the cut skipped)"""
+    cut, states = {}, 0
+    for kind, lam, mu in (("B", (2, 1), ()), ("B", (3, 1), (1,)), ("C", (2, 2), ()),
+                          ("C", (3, 1), (1, 1)), ("D", (3, 1), ()), ("D", (2, 2), (1, 1))):
+        memo = {}
+        for n in range(2, 7):
+            rs = RootSystem(kind, n)
+            k_direct(rs, lam, mu)
+            for tab in _chain(_direct_table(rs, lam, mu)):
+                for beta, packed in tab.memo.items():
+                    states += 1
+                    want = dict_peel(kind, beta, memo, cut)
+                    assert _unpack(packed, tab.width) == want, (tab.rs, beta)
+                    assert tab.pq_coeffs(beta) == want, (tab.rs, beta)
+    return states, cut
+
+
+def test_packed_pq_equals_the_dict_peel():
+    # every state k_direct fills at ranks 2-6, lower-rank tables included
+    states, _ = _packed_against_dict_peel()
+    assert states > 3000
+
+
+def test_parity_cut_equals_the_unpruned_sum():
+    # types C and D skip the rests with odd e; the unpruned dict peel
+    # visits them, finds P_q(rest) != 0 at hundreds of them, multiplies
+    # each by an empty block, and gets the same P_q
+    _, cut = _packed_against_dict_peel()
+    assert cut.get("C", 0) > 100 and cut.get("D", 0) > 100, cut
+    assert "B" not in cut
+
+
+def _height(v):
+    return sum((len(v) - i) * c for i, c in enumerate(v))
+
+
+def test_pq_width_bounds_every_coefficient():
+    # brute force: P_q by the product expansion, at every beta of height
+    # <= 12 in ranks 2-3; degree k <= h(beta) and coefficient
+    # <= C(N + h - 1, h), whose bit length pq_width covers
+    largest = 0
+    for kind in "BCD":
+        for n in (2, 3):
+            rs = RootSystem(kind, n)
+            roots = len(positive_roots(rs))
+            for beta, poly in pq_product(rs, 12).items():
+                h = _height(beta)
+                bound = comb(roots + h - 1, h)
+                width = pq_width(rs, h)
+                assert max(poly) <= h, (rs, beta)
+                assert max(poly.values()) <= bound, (rs, beta)
+                assert bound.bit_length() <= width and width >= 64 and not width & (width - 1)
+                largest = max(largest, *poly.values())
+    assert largest >= 20
+    # the width grows past 64 bits where the bound needs it
+    B8 = RootSystem("B", 8)
+    assert comb(64 + 43, 44).bit_length() > 64
+    assert pq_width(B8, 44) == 128 == _direct_table(B8, (3, 2, 1), ()).width
+    assert pq_width(B8, -3) == pq_width(B8, 0) == 64
+
+
+def test_every_state_k_direct_fills_fits_its_width():
+    # with fresh tables, every state the peel reaches from the terms of
+    # k_direct(rs, lam, mu) has height <= h(lam - mu), and its largest
+    # coefficient has at most the bit length of the bound pq_width covers
+    checked = 0
+    for kind in "BCD":
+        for n in (2, 3, 4, 5):
+            rs = RootSystem(kind, n)
+            roots = len(positive_roots(rs))
+            for lam in enumerate_partitions(4):
+                for mu in enumerate_partitions(weight(lam)):
+                    if max(len(lam), len(mu)) > n or not dominates(lam, mu):
+                        continue
+                    _table.cache_clear()
+                    k_direct(rs, lam, mu)
+                    top = _height(padded(lam, n)) - _height(padded(mu, n))
+                    bits = comb(roots + top - 1, top).bit_length()
+                    for tab in _chain(_direct_table(rs, lam, mu)):
+                        for beta, packed in tab.memo.items():
+                            assert _height(beta) <= top, (rs, lam, mu, beta)
+                            coeffs = _unpack(packed, tab.width).values()
+                            assert max(coeffs, default=0).bit_length() <= bits
+                            checked += 1
+    _table.cache_clear()
+    assert checked > 1000
+
+
+def test_a_narrow_width_decodes_wrongly():
+    # P_q(4, 2, 0) in B3 has the coefficient 55, six bits: four-bit slots
+    # carry into each other, while the width of the bound decodes exactly
+    B3, beta = RootSystem("B", 3), (4, 2, 0)
+    want = q_kostant(B3, beta).coeffs
+    assert max(want.values()) == 55
+    assert QKostantTable(B3, 4).pq_coeffs(beta) != want
+    bits = comb(9 + 16 - 1, 16).bit_length()
+    assert QKostantTable(B3, bits).pq_coeffs(beta) == want
+    assert QKostantTable(B3, 64).pq_coeffs(beta) == want
 
 
 def test_q_kostant_rejects_non_integral_coordinates():
