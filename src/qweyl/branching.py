@@ -140,9 +140,9 @@ def specialise(expansion: dict[Partition, int], kind: str, n: int) -> dict[tuple
     2n+2 or 2n (B, C, D), while l(lam) > n the bead at h = 2 l(lam) - N of
     beta_i = lam_i + l(lam) - i moves to 0: no bead at h gives 0, and the
     strip removed, over c = h - #{beta_j < h} columns, has sign (-1)^c for
-    sp and (-1)^(c-1) for so.  Keys follow sym_decomposition_finite: no
-    trailing zeros, and in type D a nonempty key of length n adds its
-    mirror key, its diagram flip.
+    sp and (-1)^(c-1) for so.  Keys are partitions without trailing
+    zeros; in type D a full-length key stands for itself only, and its
+    mirror weight (its diagram flip) is read through it.
     """
     if kind not in _N_OFFSET:
         raise ValueError(f"unknown type {kind!r}")
@@ -162,9 +162,6 @@ def specialise(expansion: dict[Partition, int], kind: str, n: int) -> dict[tuple
             beta = sorted([b for b in beta if b != h] + [0], reverse=True)
             lam = tuple(p for p in (b - l + i for i, b in enumerate(beta, 1)) if p)
         out[lam] = out.get(lam, 0) + m
-        mirror = diagram_flip(kind, n, lam)
-        if mirror != lam:
-            out[mirror] = out.get(mirror, 0) + m
     return {lam: c for lam, c in out.items() if c}
 
 
@@ -174,8 +171,10 @@ def specialise(expansion: dict[Partition, int], kind: str, n: int) -> dict[tuple
 def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], int]:
     """Decompose S^k(g) into irreducibles of g.
 
-    Keys are highest weights as integer tuples without trailing zeros;
-    in type D the last coordinate may be negative (mirror modules).
+    Keys are highest weights as partitions without trailing zeros.  In
+    type D a mirror module V(w), w the diagram flip of a full-length key,
+    has the multiplicity of its key and is not listed (sym_mult_finite
+    reads it through the flip).
     """
     check_bound(k, "k")
     return specialise(
@@ -187,8 +186,10 @@ def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], in
 
 def sym_mult_finite(rs: RootSystem, k: int, lam: Partition) -> int:
     """Multiplicity of V(lam) in S^k(g) at finite rank, lam dominant (in
-    type D a mirror weight is allowed)."""
+    type D a mirror weight is allowed, read through its flip)."""
     lam = check_dominant(rs, lam)
+    if lam and lam[-1] < 0:
+        lam = diagram_flip(rs.kind, rs.rank, lam)
     return sym_decomposition_finite(rs, k).get(lam, 0)
 
 
@@ -220,19 +221,16 @@ def harmonic_coeff_stable(family: str, k: int, lam: Partition) -> int:
 
 def harmonic_char_finite(rs: RootSystem, k: int) -> CharExpansion:
     """Degree-k part of the graded character of the harmonics H(g),
-    expanded on the irreducible characters of g."""
+    expanded on the irreducible characters of g (keys are partitions, as
+    in sym_decomposition_finite)."""
     check_bound(k, "k")
     # the Euler factor times the stable S(g) character, specialised once
     stable: dict[Partition, int] = {}
     for j, c in euler_factor_coeffs(degrees(rs), k).items():
         for lam in enumerate_partitions(2 * (k - j)):
             stable[lam] = stable.get(lam, 0) + c * _sym_mult(rs.family, k - j, lam)
-    terms = {
-        lam: QSeries.monomial(k, m)
-        for lam, m in specialise(stable, rs.kind, rs.rank).items()
-        # type D mirror modules are tracked by their partner
-        if not (lam and lam[-1] < 0)
-    }
+    finite = specialise(stable, rs.kind, rs.rank)
+    terms = {lam: QSeries.monomial(k, m) for lam, m in finite.items()}
     return CharExpansion(rs.family, terms, rank=rs.rank)
 
 

@@ -20,13 +20,11 @@ __all__ = [
 
 from functools import cache
 
-from .branching import specialise
+from .branching import _check_family, specialise
 from .partitions import Partition, check_bound, check_partition, padded, weight
 from .pieri import pieri_expand
 from .qseries import QSeries
-from .rootsystems import RootSystem, check_dominant, diagram_flip
-
-_FAMILIES = ("so", "sp")
+from .rootsystems import RootSystem, check_dominant, diagram_flip, rho_doubled
 
 
 def _step(is_sp: bool, nu: tuple, mu1: int):
@@ -53,19 +51,24 @@ def _finite_pieri(kind: str, n: int, gamma: Partition, l: int) -> tuple[tuple[tu
     negative last coordinate (mirror component).  The result is a tuple, so
     a caller cannot edit the memo.
 
-    In type D with l(gamma) = n > 0, [gamma] of O(2n) restricts to V(gamma)
+    In type D a full-length key of the specialisation is the restriction
+    of an O(2n) character, V(lam) + V(lam-bar), so its mirror key is added.
+    With l(gamma) = n > 0, [gamma] of O(2n) restricts to V(gamma)
     + V(gamma-bar), so the specialisation is S = X + sigma(X) for the wanted
     X, sigma the diagram flip.  As ch(lam) - ch(lam-bar) = E ch^C(lam - 1^n),
     E = prod(x_i - 1/x_i), and V((l)) = ch^C(l) - ch^C(l-2), X - sigma(X)
-    is read off the C_n products of gamma - 1^n.
+    is read off the memoised C_n products of gamma - 1^n.
     """
     out = specialise(pieri_expand(gamma, l), kind, n)
-    if kind != "D" or not gamma or len(gamma) < n:
+    if kind != "D":
         return tuple(out.items())
-    low = tuple(g - 1 for g in gamma)
-    diff = specialise(pieri_expand(low, l), "C", n)
+    out.update({diagram_flip(kind, n, lam): m for lam, m in out.items()})
+    if not gamma or len(gamma) < n:
+        return tuple(out.items())
+    low = tuple(g - 1 for g in gamma if g > 1)
+    diff = dict(_finite_pieri("C", n, low, l))
     if l >= 2:
-        for kappa, m in specialise(pieri_expand(low, l - 2), "C", n).items():
+        for kappa, m in _finite_pieri("C", n, low, l - 2):
             diff[kappa] = diff.get(kappa, 0) - m
     for kappa, m in diff.items():
         lam = tuple(k + 1 for k in padded(kappa, n))
@@ -99,8 +102,7 @@ def k_recurrence_finite(rs: RootSystem, nu: Partition, mu: Partition) -> QSeries
 
 def k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
     """The stable series K_{nu,mu}(q) for the so or sp family, mod q^{D+1}."""
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    _check_family(family)
     check_bound(D, "D")
     return _k_limit(family, check_partition(nu), check_partition(mu), D)
 
@@ -150,19 +152,12 @@ def degree_bounds(rs: RootSystem, nu: Partition, mu: Partition) -> tuple[int, in
     with coefficient 1 whenever the polynomial is nonzero."""
     nu, mu = check_dominant(rs, nu), check_dominant(rs, mu)
     n = rs.rank
-    nu_p, mu_p = padded(nu, n), padded(mu, n)
-    diff = weight(nu) - weight(mu)
-    lower = (diff + 1) // 2
-    if rs.kind == "B":
-        upper = sum((n - i) * (a - b) for i, (a, b) in enumerate(zip(nu_p, mu_p), 1))
-        upper += diff
-    elif rs.kind == "C":
-        upper = sum(
-            (2 * (n - i) + 1) * (a - b) for i, (a, b) in enumerate(zip(nu_p, mu_p), 1)
-        ) // 2
-    else:
-        upper = sum((n - i) * (a - b) for i, (a, b) in enumerate(zip(nu_p, mu_p), 1))
-    return lower, upper
+    # the top degree is <nu - mu, rho-check>, rho-check the rho of the
+    # dual type (B and C swap, D is self-dual)
+    dual = RootSystem({"B": "C", "C": "B", "D": "D"}[rs.kind], n)
+    rd = rho_doubled(dual)
+    upper = sum(r * (a - b) for r, a, b in zip(rd, padded(nu, n), padded(mu, n))) // 2
+    return (weight(nu) - weight(mu) + 1) // 2, upper
 
 
 def brylinski_dims(rs: RootSystem, lam: Partition, mu: Partition, k: int) -> int:

@@ -1,8 +1,7 @@
 """
-Root-system data for the classical types B_n, C_n, D_n, streaming
-iteration over their Weyl groups of signed permutations (whole, or pruned
-to the terms of a Kostant alternating sum that can be nonzero), and the
-reflection of a weight into the dominant chamber.
+Root-system data for the classical types B_n, C_n, D_n and one walk over
+their Weyl groups of signed permutations, pruned to the terms of a
+Kostant alternating sum that can be nonzero, each with its sign.
 
 All weights are kept in doubled coordinates (the stored vector is 2*beta),
 so the half-integral rho of type B stays exact.  Weights that face the
@@ -20,7 +19,6 @@ __all__ = [
     "weyl_iter",
     "weyl_order",
     "dot_action",
-    "dominant_dot",
     "degrees",
     "exponents",
     "weyl_dim",
@@ -98,26 +96,6 @@ class SignedPermutation:
             out[self.perm[j]] = -b if j in self.flips else b
         return tuple(out)
 
-    @property
-    def sign(self) -> int:
-        return _perm_parity(self.perm) * (-1) ** len(self.flips)
-
-
-def _perm_parity(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    parity = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            parity = -parity
-    return parity
-
 
 def positive_roots(rs: RootSystem) -> list[Weight]:
     """Positive roots in doubled coordinates, deterministic order."""
@@ -170,56 +148,50 @@ def weyl_order(rs: RootSystem) -> int:
     return fact * 2 ** (n - 1 if rs.kind == "D" else n)
 
 
-def weyl_iter(rs: RootSystem, lam=None, mu=()) -> Iterator[tuple[SignedPermutation, int]]:
-    """Stream (w, (-1)^length(w)) over the Weyl group.
+def weyl_iter(rs: RootSystem, lam, mu) -> Iterator[tuple[SignedPermutation, int]]:
+    """Stream (w, sign(w)) over the w of the Weyl group for which
+    P_q(w o lam - mu) can be nonzero, lam and mu in plain coordinates.
 
     w is built one output coordinate at a time: position i gets +-v_j for
-    an unused j.  Type D flips an even number of signs, so the sign at the
-    last position is forced.  Called with rs alone, this is the whole group.
-
-    With weights lam and mu (plain coordinates), v = lam + rho, and a
-    prefix is abandoned as soon as a prefix sum of w(lam + rho) - (mu + rho)
-    goes negative: w o lam - mu then lies outside the positive cone, where
-    P_q vanishes.  What is left covers the Weyl alternation set, the w with
-    P_q(w o lam - mu) != 0.  When lam + rho has a zero coordinate (type D,
-    lam_n = 0), its two signs are two distinct elements, and both are
-    yielded.
+    an unused j, v = lam + rho.  Type D flips an even number of signs, so
+    the sign at the last position is forced.  sign(w) = (-1)^length(w)
+    rides along: taking v_j passes one inversion per still-free index
+    below j, and a flip is one more factor -1.  A prefix is abandoned as
+    soon as a prefix sum of w(lam + rho) - (mu + rho) goes negative: w o
+    lam - mu then lies outside the positive cone, where P_q vanishes.
+    What is left covers the Weyl alternation set.  When lam + rho has a
+    zero coordinate (type D, lam_n = 0), its two signs are two distinct
+    elements, and both are yielded.
     """
     n = rs.rank
     even_flips = rs.kind == "D"
-    if lam is None:
-        v = t = None
-    else:
-        rd = rho_doubled(rs)
-        v = [2 * a + r for a, r in zip(padded(tuple(lam), n), rd)]
-        t = [2 * b + r for b, r in zip(padded(tuple(mu), n), rd)]
+    rd = rho_doubled(rs)
+    v = [2 * a + r for a, r in zip(padded(tuple(lam), n), rd)]
+    t = [2 * b + r for b, r in zip(padded(tuple(mu), n), rd)]
     perm = [0] * n
     used = [False] * n
 
-    def build(i, flips, excess):
+    def build(i, flips, sign, excess):
         if i == n:
-            w = SignedPermutation(tuple(perm), frozenset(flips))
-            yield w, w.sign
+            yield SignedPermutation(tuple(perm), frozenset(flips)), sign
             return
         signs = (1, -1)
         if even_flips and i == n - 1:
             signs = (-1,) if len(flips) % 2 else (1,)
+        step = sign  # sign times (-1)^(free indices below j)
         for j in range(n):
             if used[j]:
                 continue
             used[j] = True
             perm[j] = i
             for s in signs:
-                if v is None:
-                    ahead = 0
-                else:
-                    ahead = excess + s * v[j] - t[i]
-                    if ahead < 0:
-                        continue
-                yield from build(i + 1, flips + (j,) if s < 0 else flips, ahead)
+                ahead = excess + s * v[j] - t[i]
+                if ahead >= 0:
+                    yield from build(i + 1, flips + (j,) if s < 0 else flips, s * step, ahead)
             used[j] = False
+            step = -step
 
-    yield from build(0, (), 0)
+    yield from build(0, (), 1, 0)
 
 
 def dot_action(w: SignedPermutation, lam, rs: RootSystem) -> tuple[int, ...]:
@@ -232,43 +204,6 @@ def dot_action(w: SignedPermutation, lam, rs: RootSystem) -> tuple[int, ...]:
     out = tuple(m - r for m, r in zip(moved, rd))
     assert all(c % 2 == 0 for c in out)
     return tuple(c // 2 for c in out)
-
-
-def dominant_dot(rs: RootSystem, beta: Weight) -> tuple[int, tuple[int, ...]]:
-    """Brauer-Klimyk step: move beta into the dominant chamber by the dot action.
-
-    beta is a full-length weight in doubled coordinates.  Returns
-    (sign(w), w o beta) for the unique w with w(beta + rho) strictly
-    dominant, w o beta in plain coordinates without trailing zeros (in
-    type D the last coordinate may be negative), or (0, ()) when
-    beta + rho lies on a wall.
-
-    Sorting the |v_i| of v = beta + rho descending gives w: two equal
-    |v_i| put v on a wall, as does a zero v_i in types B and C.  The sign
-    is the parity of the sorting permutation times (-1)^(number of
-    negative v_i) in types B and C.  Type D only flips an even number of
-    signs: the sign is the parity alone, and an odd number of negative
-    v_i leaves the last coordinate negative (a zero coordinate sorts
-    last and stays 0).
-    """
-    rd = rho_doubled(rs)
-    v = [b + r for b, r in zip(beta, rd)]
-    mags = [abs(x) for x in v]
-    dom = sorted(mags, reverse=True)
-    if any(a == b for a, b in zip(dom, dom[1:])) or (rs.kind != "D" and dom[-1] == 0):
-        return 0, ()
-    n = len(v)
-    inversions = sum(mags[i] < mags[j] for i in range(n) for j in range(i + 1, n))
-    negatives = sum(x < 0 for x in v)
-    sign = (-1) ** inversions
-    if rs.kind != "D":
-        sign *= (-1) ** negatives
-    elif negatives % 2:
-        dom[-1] = -dom[-1]
-    lam = [(x - r) // 2 for x, r in zip(dom, rd)]
-    while lam and lam[-1] == 0:
-        lam.pop()
-    return sign, tuple(lam)
 
 
 def exponents(rs: RootSystem) -> list[int]:

@@ -31,7 +31,8 @@ from qweyl.pieri import _pieri_support, pieri_expand, stable_pieri
 from qweyl.qkostant import _table, k_direct
 from qweyl.qseries import QSeries
 from qweyl.recurrence import _k_finite, brylinski_dims, degree_bounds, k_limit, k_recurrence_finite
-from qweyl.rootsystems import RootSystem, degrees, dominant_dot, positive_roots, weyl_dim
+from qweyl.rootsystems import RootSystem, degrees, diagram_flip, positive_roots, weyl_dim
+from weyl_reference import dominant_dot
 
 
 def _sym_decomposition_by_weights(rs: RootSystem, k: int) -> dict[tuple[int, ...], int]:
@@ -149,10 +150,10 @@ def test_finite_decomposition_dimension_audit():
             for k in range(5):
                 dec = sym_decomposition_finite(rs, k)
                 total = 0
-                for key, m in dec.items():
-                    lam = key[:-1] + (abs(key[-1]),) if key else key
-                    lam = tuple(x for x in lam if x)
-                    total += m * weyl_dim(rs, lam)
+                for lam, m in dec.items():
+                    # a type-D key stands for itself and its mirror module
+                    for w in {lam, diagram_flip(kind, n, lam)}:
+                        total += m * weyl_dim(rs, w)
                 assert total == comb(_dim_g(rs) + k - 1, k), (rs.algebra, k)
 
 
@@ -162,8 +163,9 @@ def test_specialise_hand_cases():
     assert specialise({(1, 1, 1): 1}, "B", 2) == {(1, 1): 1}
     assert specialise({(1, 1, 1): 1}, "D", 2) == {(1,): 1}
     assert specialise({(1,) * 5: 1}, "B", 2) == {(): 1}
-    assert specialise({(1, 1): 1}, "D", 2) == {(1, 1): 1, (1, -1): 1}
-    assert specialise({(2, 2, 2): 1}, "D", 2) == {(2, 2): -1, (2, -2): -1}
+    # a full-length type-D key stands for itself: no mirror key is added
+    assert specialise({(1, 1): 1}, "D", 2) == {(1, 1): 1}
+    assert specialise({(2, 2, 2): 1}, "D", 2) == {(2, 2): -1}
     # coefficients scale and cancel; shapes inside the rank pass through
     assert specialise({(1, 1, 1): 2, (1, 1): -2, (2,): 3}, "B", 2) == {(2,): 3}
 
@@ -174,10 +176,9 @@ def test_specialise_at_ranks_0_and_1():
     assert specialise({(1, 1): 1}, "B", 1) == {(1,): 1}
     assert specialise({(1, 1): 1}, "D", 1) == {(): 1}
     assert specialise({(1, 1): 1}, "C", 1) == {}
-    assert specialise({(1,): 1}, "D", 1) == {(1,): 1, (-1,): 1}
+    assert specialise({(1,): 1}, "D", 1) == {(1,): 1}
     assert specialise({(1,): 1}, "B", 0) == {(): 1}
     assert specialise({(1,): 1}, "D", 0) == {}
-    # the empty key has no mirror, even at rank 0
     assert specialise({(): 1}, "D", 0) == {(): 1}
 
 
@@ -203,22 +204,32 @@ _SPECIALISE_GRID = (
 )
 def test_specialise_matches_weight_system(kind, n, ks):
     # the stable S^k(g) multiplicities reach length 2k, far past the rank,
-    # so most shapes take several strip removals
+    # so most shapes take several strip removals.  The oracle also lists
+    # the type-D mirror modules; each has the multiplicity of its flip,
+    # which is the key that stands for it.
     rs = RootSystem(kind, n)
     for k in ks:
-        assert sym_decomposition_finite(rs, k) == _sym_decomposition_by_weights(rs, k), (rs, k)
+        oracle = _sym_decomposition_by_weights(rs, k)
+        for lam, m in oracle.items():
+            assert oracle.get(diagram_flip(kind, n, lam), 0) == m, (rs, k, lam)
+        keys = {lam: m for lam, m in oracle.items() if not (lam and lam[-1] < 0)}
+        assert sym_decomposition_finite(rs, k) == keys, (rs, k)
 
 
 def test_sym_mult_finite_reads_every_key_mirrors_included():
-    # every key of the decomposition, a type-D mirror weight included, is
-    # a valid argument of sym_mult_finite and reads its multiplicity back
+    # every key of the decomposition and, for a full-length type-D key,
+    # its mirror weight is a valid argument of sym_mult_finite and reads
+    # the key's multiplicity back
     mirrors = 0
     for n in range(2, 7):
         rs = RootSystem("D", n)
         for k in range(5):
             for lam, m in sym_decomposition_finite(rs, k).items():
                 assert sym_mult_finite(rs, k, lam) == m, (rs, k, lam)
-                mirrors += bool(lam) and lam[-1] < 0
+                mirror = diagram_flip("D", n, lam)
+                if mirror != lam:
+                    assert mirror[-1] < 0 and sym_mult_finite(rs, k, mirror) == m, (rs, k, lam)
+                    mirrors += 1
     assert mirrors
     assert sym_mult_finite(RootSystem("D", 3), 3, (2, 1, -1)) == 1
 
@@ -231,7 +242,7 @@ def test_harmonic_finite_matches_weight_system(kind, n):
         want: dict = {}
         for j, c in euler_factor_coeffs(degrees(rs), k).items():
             for lam, m in _sym_decomposition_by_weights(rs, k - j).items():
-                if not (lam and lam[-1] < 0):  # type D mirror keys are dropped
+                if not (lam and lam[-1] < 0):  # a type-D mirror is read through its key
                     want[lam] = want.get(lam, 0) + c * m
         got = harmonic_char_finite(rs, k).terms
         assert got == {lam: QSeries.monomial(k, m) for lam, m in want.items() if m}, (rs, k)

@@ -23,6 +23,7 @@ from qweyl.rootsystems import (
     weyl_iter,
     weyl_order,
 )
+from weyl_reference import sign, whole_group
 
 
 def pq_naive(rs, beta):
@@ -352,15 +353,16 @@ def _full_group_sum(rs, orbit, mu):
 
 def test_pruned_weyl_iter_against_full_group():
     # the pruned enumerator yields, once each and with its sign, exactly
-    # the w of the whole group whose w(lam + rho) - (mu + rho) has
-    # nonnegative prefix sums; k_direct, which sums over those, equals
-    # the unpruned alternating sum over the whole group
+    # the w of the brute-force whole group (signs by the parity reference)
+    # whose w(lam + rho) - (mu + rho) has nonnegative prefix sums; k_direct,
+    # which sums over those, equals the unpruned alternating sum over the
+    # whole group
     seen = {"mirror": 0, "zero_coordinate": 0, "nonzero": 0}
     for kind in "BCD":
         for n in (2, 3, 4):
             rs = RootSystem(kind, n)
             rd = rho_doubled(rs)
-            group = list(weyl_iter(rs))
+            group = [(w, sign(w)) for w in whole_group(rs)]
             assert len({w for w, _ in group}) == weyl_order(rs)
             weights = _dominant_weights(kind, n, 5)
             for lam in weights:

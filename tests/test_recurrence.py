@@ -118,7 +118,11 @@ def test_finite_pieri_dimension_audit():
 def _finite_pieri_unmemoised(kind, n, gamma, l):
     """The finite Pieri step as a dict, built afresh on every call."""
     out = specialise(pieri_expand(gamma, l), kind, n)
-    if kind != "D" or not gamma or len(gamma) < n:
+    if kind != "D":
+        return out
+    # specialise lists a full-length key alone; the step needs its mirror too
+    out.update({diagram_flip(kind, n, lam): m for lam, m in out.items()})
+    if not gamma or len(gamma) < n:
         return out
     low = tuple(g - 1 for g in gamma)
     diff = specialise(pieri_expand(low, l), "C", n)

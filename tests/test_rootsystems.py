@@ -9,7 +9,6 @@ from qweyl.rootsystems import (
     check_dominant,
     diagram_flip,
     degrees,
-    dominant_dot,
     dot_action,
     exponents,
     positive_roots,
@@ -19,6 +18,7 @@ from qweyl.rootsystems import (
     weyl_iter,
     weyl_order,
 )
+from weyl_reference import compose, dominant_dot, sign, whole_group
 
 
 def test_validation():
@@ -80,34 +80,33 @@ def test_weyl_orders():
         (RootSystem("C", 3), 48),
         (RootSystem("D", 4), 192),
     ]:
-        group = list(weyl_iter(rs))
-        assert len(group) == order == weyl_order(rs)
-        assert sum(sgn for _, sgn in group) == 0  # equally many of each sign
-
-
-def compose(w: SignedPermutation, v: SignedPermutation) -> SignedPermutation:
-    """w after v, as maps on weights: compose(w, v).act = w.act o v.act."""
-    perm = tuple(w.perm[p] for p in v.perm)
-    flips = frozenset(k for k in range(len(perm)) if (k in v.flips) != (v.perm[k] in w.flips))
-    return SignedPermutation(perm, flips)
+        group = whole_group(rs)
+        assert len(set(group)) == order == weyl_order(rs)
+        assert sum(map(sign, group)) == 0  # equally many of each sign
 
 
 def test_signs_multiplicative():
     rs = RootSystem("B", 3)
-    group = [w for w, _ in weyl_iter(rs)]
+    group = whole_group(rs)
     rng = random.Random(7)
     for _ in range(50):
         w, v = rng.choice(group), rng.choice(group)
         wv = compose(w, v)
-        assert wv.sign == w.sign * v.sign
+        assert sign(wv) == sign(w) * sign(v)
         beta = tuple(rng.randrange(-4, 5) for _ in range(3))
         assert wv.act(beta) == w.act(v.act(beta))
 
 
 def test_sign_matches_stated_iterator_sign():
-    for rs in (RootSystem("B", 2), RootSystem("D", 3)):
-        for w, sgn in weyl_iter(rs):
-            assert w.sign == sgn
+    # mu far below every w(rho) - rho leaves every prefix sum positive, so
+    # the walk prunes nothing: it must yield the whole group, once each,
+    # with the sign of the parity reference
+    for kind in "BCD":
+        for n in range(2, 6):
+            rs = RootSystem(kind, n)
+            walked = list(weyl_iter(rs, (), (-2 * n,) * n))
+            assert len(walked) == weyl_order(rs), rs
+            assert dict(walked) == {w: sign(w) for w in whole_group(rs)}, rs
 
 
 def test_dot_action():
@@ -118,7 +117,7 @@ def test_dot_action():
     ident = SignedPermutation((0, 1))
     assert dot_action(ident, (2, 0), C2) == (2, 0)
     # w o lambda = lambda only for w = id when lambda + rho is regular
-    fixed = [w for w, _ in weyl_iter(C2) if dot_action(w, (2, 1), C2) == (2, 1)]
+    fixed = [w for w in whole_group(C2) if dot_action(w, (2, 1), C2) == (2, 1)]
     assert len(fixed) == 1
 
 
@@ -138,12 +137,12 @@ def test_dominant_dot_against_full_group():
         for n, radius in ((2, 3), (3, 3), (4, 2)):
             rs = RootSystem(kind, n)
             rd = rho_doubled(rs)
-            group = list(weyl_iter(rs))
+            group = [(w, sign(w)) for w in whole_group(rs)]
             for x in product(range(-radius, radius + 1), repeat=n):
                 v = tuple(2 * a + r for a, r in zip(x, rd))
-                sign, lam = dominant_dot(rs, tuple(2 * a for a in x))
+                sgn, lam = dominant_dot(rs, tuple(2 * a for a in x))
                 hits = [(w.act(v), s) for w, s in group if _strictly_dominant(kind, w.act(v))]
-                if not sign:
+                if not sgn:
                     assert hits == [] and lam == (), (rs, x)
                     seen["wall"] += 1
                     continue
@@ -152,7 +151,7 @@ def test_dominant_dot_against_full_group():
                 want = [(a - r) // 2 for a, r in zip(u, rd)]
                 while want and want[-1] == 0:
                     want.pop()
-                assert (sign, lam) == (s, tuple(want)), (rs, x)
+                assert (sgn, lam) == (s, tuple(want)), (rs, x)
                 seen["regular"] += 1
                 if kind == "D" and 0 in v:
                     seen["zero_coordinate_d"] += 1
