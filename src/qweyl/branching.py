@@ -151,6 +151,8 @@ def specialise(expansion: dict[Partition, int], kind: str, n: int) -> dict[tuple
     out: dict[tuple[int, ...], int] = {}
     for lam, m in expansion.items():
         lam = check_partition(lam)
+        if not isinstance(m, int):
+            raise ValueError(f"multiplicity of {lam} must be an integer, got {m!r}")
         while m and len(lam) > n:
             l, h = len(lam), 2 * len(lam) - N
             beta = [p + l - i for i, p in enumerate(lam, 1)]

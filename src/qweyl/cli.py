@@ -90,24 +90,19 @@ def cmd_k(args) -> int:
     t0 = time.perf_counter()
     meta = {}
     if (args.family is None) == (args.type is None):
-        print("error: give exactly one of --family or --type/--rank", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("give exactly one of --family or --type/--rank")
     if args.family:
         if args.trunc is None:
-            print("error: --family needs --trunc (the series is infinite)", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("--family needs --trunc (the series is infinite)")
         if args.rank is not None or args.method is not None:
-            print("error: --rank and --method apply only to --type", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("--rank and --method apply only to --type")
         series = k_limit(args.family, args.lam, args.mu, args.trunc)
         params = {"family": args.family, "trunc": args.trunc}
     else:
         if args.rank is None:
-            print("error: --type needs --rank", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("--type needs --rank")
         if args.trunc is not None:
-            print("error: --trunc applies only to --family", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("--trunc applies only to --family")
         rs = RootSystem(args.type, args.rank)
         method = args.method or "recurrence"
         if method == "direct":
@@ -155,21 +150,19 @@ def cmd_table(args) -> int:
 
 
 # -- verify -------------------------------------------------------------
+#
+# A suite is a generator that yields one item per check: None when the
+# check passes, else its failure record.  cmd_verify counts them.
 
 
 def _suite_duality(args):
-    fails, checks = [], 0
     for lam in enumerate_partitions(args.max_weight):
         a = k_limit("so", lam, (), args.trunc)
         b = k_limit("sp", conjugate(lam), (), args.trunc)
-        checks += 1
-        if a != b:
-            fails.append({"lambda": list(lam), "so": a.pairs(), "sp_conj": b.pairs()})
-    return checks, fails
+        yield None if a == b else {"lambda": list(lam), "so": a.pairs(), "sp_conj": b.pairs()}
 
 
 def _suite_stability(args):
-    fails, checks = [], 0
     for nu in enumerate_partitions(args.max_weight):
         for mu in enumerate_partitions(weight(nu)):
             if not dominates(nu, mu):
@@ -184,51 +177,40 @@ def _suite_stability(args):
                 for n in ranks:
                     vals.add(k_direct(RootSystem("B", n), nu, mu)[k])
                     vals.add(k_direct(RootSystem("D", n), nu, mu)[k])
-                checks += 1
-                if len(vals) != 1:
-                    fails.append({"nu": list(nu), "mu": list(mu), "k": k, "vals": sorted(vals)})
-    return checks, fails
+                yield None if len(vals) == 1 else {
+                    "nu": list(nu), "mu": list(mu), "k": k, "vals": sorted(vals)}
 
 
 def _suite_hesselink(args):
     # coefficient k of K_{lam,0}: the harmonics H^k(g) against the direct
     # sum on their support at ranks 2-3, and against the recurrence on every
     # lam with |lam| <= 2k (zeros included) at ranks 2..max_rank
-    fails, checks = [], 0
     for kind in "BCD":
         for rank in range(2, args.max_rank + 1):
             rs = RootSystem(kind, rank)
             for k in range(args.max_k + 1):
                 h = harmonic_char_finite(rs, k)
-                if rank <= 3:
-                    for lam in h.terms:
-                        checks += 1
-                        if h.coeff(lam)[k] != k_direct(rs, lam, ())[k]:
-                            fails.append({"rs": str(rs), "k": k, "lambda": list(lam),
-                                          "path": "direct"})
-                for lam in enumerate_partitions(2 * k):
-                    if len(lam) > rank:
-                        continue
-                    checks += 1
-                    if h.coeff(lam)[k] != k_recurrence_finite(rs, lam, ())[k]:
-                        fails.append({"rs": str(rs), "k": k, "lambda": list(lam),
-                                      "path": "recurrence"})
-    return checks, fails
+                paths = (
+                    ("direct", k_direct, h.terms if rank <= 3 else ()),
+                    ("recurrence", k_recurrence_finite,
+                     [lam for lam in enumerate_partitions(2 * k) if len(lam) <= rank]),
+                )
+                for path, fn, shapes in paths:
+                    for lam in shapes:
+                        yield None if h.coeff(lam)[k] == fn(rs, lam, ())[k] else {
+                            "rs": str(rs), "k": k, "lambda": list(lam), "path": path}
 
 
 def _suite_stable_hesselink(args):
     # coefficient k of K_{lam,empty}: Morris/Pieri recurrence vs Littlewood/LR sums
-    fails, checks = [], 0
     for family in ("so", "sp"):
         for lam in enumerate_partitions(args.max_weight):
             series = k_limit(family, lam, (), args.max_k)
             for k in range(args.max_k + 1):
-                checks += 1
                 harmonic = harmonic_coeff_stable(family, k, lam)
-                if series[k] != harmonic:
-                    fails.append({"family": family, "lambda": list(lam), "k": k,
-                                  "limit": series[k], "harmonic": harmonic})
-    return checks, fails
+                yield None if series[k] == harmonic else {
+                    "family": family, "lambda": list(lam), "k": k,
+                    "limit": series[k], "harmonic": harmonic}
 
 
 def _finite_pairs(args):
@@ -246,44 +228,36 @@ def _finite_pairs(args):
 
 
 def _suite_degrees(args):
-    fails, checks = [], 0
     for rs, nu, mu in _finite_pairs(args):
         series = k_direct(rs, nu, mu)
         if not series:
             continue
         lo, hi = degree_bounds(rs, nu, mu)
-        checks += 1
-        if series.low_degree() < lo or series.degree() != hi or series[hi] != 1:
-            fails.append({"rs": str(rs), "nu": list(nu), "mu": list(mu),
-                          "window": [lo, hi], "series": series.pairs()})
-    return checks, fails
+        ok = series.low_degree() >= lo and series.degree() == hi and series[hi] == 1
+        yield None if ok else {"rs": str(rs), "nu": list(nu), "mu": list(mu),
+                               "window": [lo, hi], "series": series.pairs()}
 
 
 def _suite_pieri_oracle(args):
-    fails, checks = [], 0
     for rs, nu, mu in _finite_pairs(args):
-        checks += 1
-        if k_recurrence_finite(rs, nu, mu) != k_direct(rs, nu, mu):
-            fails.append({"rs": str(rs), "nu": list(nu), "mu": list(mu)})
-    return checks, fails
+        yield None if k_recurrence_finite(rs, nu, mu) == k_direct(rs, nu, mu) else {
+            "rs": str(rs), "nu": list(nu), "mu": list(mu)}
 
 
 def _suite_hl_inverse(args):
     # the truncated window's inverse is two-sided: P.K = K.P = I entrywise
-    fails, checks, zero = [], 0, QSeries.zero()
+    zero = QSeries.zero()
     for family in ("so", "sp"):
         km = k_matrix(family, args.max_weight, args.trunc)
         pm = p_basis_matrix(family, args.max_weight, args.trunc)
         for product, prod in (("PK", pm.matmul(km)), ("KP", km.matmul(pm))):
             for lam in km.index:
                 for mu in km.index:
-                    checks += 1
                     want = {0: 1} if lam == mu else {}
                     # entries, not entry(): the window's shapes need no re-validation
-                    if prod.entries.get((lam, mu), zero).coeffs != want:
-                        fails.append({"family": family, "product": product,
-                                      "lambda": list(lam), "mu": list(mu)})
-    return checks, fails
+                    yield None if prod.entries.get((lam, mu), zero).coeffs == want else {
+                        "family": family, "product": product,
+                        "lambda": list(lam), "mu": list(mu)}
 
 
 _SUITES = {
@@ -307,17 +281,16 @@ def cmd_verify(args) -> int:
         if value is None:
             setattr(args, name, defaults.get(name))
         elif name not in defaults:
-            print(f"error: {flag} does not apply to suite {args.suite}", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError(f"{flag} does not apply to suite {args.suite}")
         else:
             check_bound(value, flag, low)
-    checks, fails = fn(args)
-    if not checks:
-        print(f"error: suite {args.suite} makes no check with these options", file=sys.stderr)
-        return USAGE_ERROR
+    results = list(fn(args))
+    if not results:
+        raise ValueError(f"suite {args.suite} makes no check with these options")
+    fails = [r for r in results if r is not None]
     report = {
         "suite": args.suite,
-        "checks": checks,
+        "checks": len(results),
         "failures": fails,
         "passed": not fails,
         "wall_ms": int((time.perf_counter() - t0) * 1000),

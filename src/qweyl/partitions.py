@@ -75,6 +75,7 @@ def padded(p: Partition, n: int) -> tuple[int, ...]:
 
 
 def conjugate(p: Partition) -> Partition:
+    p = check_partition(p)
     if not p:
         return ()
     return tuple(sum(1 for x in p if x > i) for i in range(p[0]))
@@ -109,55 +110,33 @@ def dominates(p: Partition, q: Partition) -> bool:
     return True
 
 
-def _check_strip_input(p, size: int) -> Partition:
-    if size < 0:
-        raise ValueError(f"strip size must be >= 0, got {size}")
-    return check_partition(p)
+def _box_tuples(lower: tuple[int, ...], upper: tuple[int, ...], total: int) -> Iterator[Partition]:
+    """The tuples t with lower[i] <= t[i] <= upper[i] and sum(t) == total,
+    in lexicographic order, with trailing zeros dropped."""
+    if not lower:
+        if total == 0:
+            yield ()
+        return
+    rest_low, rest_high = sum(lower[1:]), sum(upper[1:])
+    for head in range(max(lower[0], total - rest_high), min(upper[0], total - rest_low) + 1):
+        for tail in _box_tuples(lower[1:], upper[1:], total - head):
+            yield (head,) + tail if head or tail else ()
 
 
 def add_horizontal_strips(p: Partition, size: int) -> Iterator[Partition]:
     """All partitions obtained from p by adding a horizontal strip of `size` boxes."""
-    p = _check_strip_input(p, size)
-
-    def rec(i: int, prev_cap: int, left: int, acc: list[int]):
-        if i == len(p):
-            # one optional new row of length <= min(prev_cap, left); every
-            # other row keeps a part >= p[i] > 0, so no zero is ever output
-            if left == 0:
-                yield tuple(acc)
-            elif left <= prev_cap:
-                yield tuple(acc) + (left,)
-            return
-        base = p[i]
-        hi = min(prev_cap, base + left)
-        for new in range(base, hi + 1):
-            acc.append(new)
-            yield from rec(i + 1, base, left - (new - base), acc)
-            acc.pop()
-
-    return rec(0, p[0] + size if p else size, size, [])
+    p, size = check_partition(p), check_bound(size, "strip size")
+    # a strip interleaves the shapes, out_1 >= p_1 >= out_2 >= p_2 >= ...:
+    # row i of the result lies in [p_i, p_{i-1}], and row 1 in [p_1, p_1 + size]
+    top = (p[0] if p else 0) + size
+    return _box_tuples(p + (0,), (top,) + p, weight(p) + size)
 
 
 def remove_horizontal_strips(p: Partition, size: int) -> Iterator[Partition]:
     """All partitions obtained from p by removing a horizontal strip of `size` boxes."""
-    p = _check_strip_input(p, size)
-
-    def rec(i: int, left: int, acc: list[int]):
-        if i == len(p):
-            if left == 0:
-                # only the last row can shrink to zero
-                yield tuple(acc[:-1]) if acc and not acc[-1] else tuple(acc)
-            return
-        below = p[i + 1] if i + 1 < len(p) else 0
-        # row i shrinks to new in [below, p[i]] so that p/result interleaves
-        for new in range(below, p[i] + 1):
-            if p[i] - new > left:
-                continue
-            acc.append(new)
-            yield from rec(i + 1, left - (p[i] - new), acc)
-            acc.pop()
-
-    return rec(0, size, [])
+    p, size = check_partition(p), check_bound(size, "strip size")
+    # p_1 >= out_1 >= p_2 >= out_2 >= ...: row i of the result lies in [p_{i+1}, p_i]
+    return _box_tuples(p[1:] + (0,) if p else (), p, weight(p) - size)
 
 
 def _partitions_of(k: int, max_part: Optional[int] = None) -> Iterator[Partition]:

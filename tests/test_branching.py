@@ -188,6 +188,12 @@ def test_specialise_rejects_an_unknown_type_or_rank():
             specialise({(1,): 1}, kind, n)
 
 
+def test_specialise_rejects_a_non_integral_multiplicity():
+    for m in (1.5, 2.0, "1"):
+        with pytest.raises(ValueError):
+            specialise({(2,): m}, "B", 3)
+
+
 # (kind, rank, degrees k); degree 4 at rank 5 is a cell of its own, next
 # to the k <= 3 cell
 _SPECIALISE_GRID = (
@@ -476,6 +482,9 @@ def test_phi_involution():
         phi(CharExpansion("gl", {}))
     with pytest.raises(ValueError):
         phi(CharExpansion("so", {}, rank=3))
+    # an unsorted key is an error, not the key of its sorted conjugate
+    with pytest.raises(ValueError):
+        phi(CharExpansion("so", {(1, 2): QSeries.one()}))
 
 
 def test_char_expansion_validation():

@@ -332,6 +332,33 @@ def test_verify_hl_inverse_reports_failures(capsys, monkeypatch):
         (family, product) for family in ("so", "sp") for product in ("PK", "KP")}
 
 
+_BROKEN_PATHS = {
+    # suite: (cli attribute, its broken stand-in, small options, keys of a record)
+    "pieri-oracle": ("k_recurrence_finite", lambda rs, lam, mu: QSeries({0: 3}),
+                     ("--max-weight", "2", "--max-rank", "2"), {"rs", "nu", "mu"}),
+    "stability": ("k_direct", lambda rs, lam, mu: QSeries({0: rs.rank}),
+                  ("--max-weight", "2", "--max-k", "1"), {"nu", "mu", "k", "vals"}),
+    "degrees": ("k_direct", lambda rs, lam, mu: QSeries({rs.rank + len(lam): 1}),
+                ("--max-weight", "2", "--max-rank", "2"), {"rs", "nu", "mu", "window", "series"}),
+    "stable-hesselink": ("harmonic_coeff_stable", lambda family, k, lam: 1,
+                         ("--max-weight", "2", "--max-k", "2"),
+                         {"family", "lambda", "k", "limit", "harmonic"}),
+    "duality": ("k_limit", lambda family, lam, mu, trunc: (
+                    QSeries.zero() if family == "sp" else k_limit(family, lam, mu, trunc)),
+                ("--max-weight", "2", "--trunc", "3"), {"lambda", "so", "sp_conj"}),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_BROKEN_PATHS))
+def test_verify_suite_reports_a_broken_path(capsys, monkeypatch, suite):
+    attr, broken, options, keys = _BROKEN_PATHS[suite]
+    monkeypatch.setattr(cli, attr, broken)
+    code, out, _ = run(capsys, "verify", "--suite", suite, *options)
+    doc = json.loads(out)
+    assert code == 1 and doc["passed"] is False and doc["failures"]
+    assert all(set(f) == keys for f in doc["failures"])
+
+
 def test_k_json_params_name_the_default_method(capsys):
     for argv, method in (((), "recurrence"), (("--method", "recurrence"), "recurrence"),
                          (("--method", "direct"), "direct")):

@@ -56,6 +56,8 @@ def test_conjugate_examples():
     assert conjugate((3, 1)) == (2, 1, 1)
     assert conjugate(()) == ()
     assert conjugate((2, 2)) == (2, 2)
+    with pytest.raises(ValueError, match=re.escape("(1, 2)")):
+        conjugate((1, 2))
 
 
 @given(partitions)
@@ -94,8 +96,11 @@ def test_strip_enumerators_reject_invalid_shapes():
         for strips in (add_horizontal_strips, remove_horizontal_strips):
             with pytest.raises(ValueError, match=re.escape(str(bad))):
                 strips(bad, 1)
-    with pytest.raises(ValueError):
-        add_horizontal_strips((2,), -1)
+    # a negative or non-integral strip size
+    for strips in (add_horizontal_strips, remove_horizontal_strips):
+        for size in (-1, 1.5):
+            with pytest.raises(ValueError):
+                strips((2,), size)
 
 
 @given(partitions, st.integers(0, 4))
@@ -103,6 +108,20 @@ def test_remove_strips_are_strips(p, size):
     for smaller in remove_horizontal_strips(p, size):
         assert is_horizontal_strip(smaller, p)
         assert weight(smaller) == weight(p) - size
+
+
+def test_strip_enumerators_are_complete():
+    # every strip exactly once, against a filter over all partitions of the weight
+    for p in enumerate_partitions(6):
+        for size in range(5):
+            added = list(add_horizontal_strips(p, size))
+            assert sorted(added) == sorted(
+                q for q in enumerate_partitions(0, exact_weight=weight(p) + size)
+                if is_horizontal_strip(p, q))
+            removed = list(remove_horizontal_strips(p, size))
+            assert sorted(removed) == sorted(
+                q for q in enumerate_partitions(0, exact_weight=max(weight(p) - size, 0))
+                if weight(q) == weight(p) - size and is_horizontal_strip(q, p))
 
 
 def test_enumerate_order_and_classes():
