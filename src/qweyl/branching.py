@@ -61,9 +61,15 @@ class CharExpansion:
     def __post_init__(self):
         if self.basis not in _FAMILIES:
             raise ValueError(f"unknown basis {self.basis!r}")
-        self.terms = {
-            lam: c for lam, c in self.terms.items() if not c.is_zero()
-        }
+        terms = {}
+        for key, c in self.terms.items():
+            lam = check_partition(key)
+            if not isinstance(c, QSeries):
+                raise ValueError(f"coefficient of {lam} is not a QSeries: {c!r}")
+            if lam in terms:
+                raise ValueError(f"two keys normalise to the partition {lam}")
+            terms[lam] = c
+        self.terms = {lam: c for lam, c in terms.items() if not c.is_zero()}
         if self.rank is not None:
             for lam in self.terms:
                 if len(lam) > self.rank:

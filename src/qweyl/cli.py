@@ -107,8 +107,8 @@ def cmd_k(args) -> int:
         method = args.method or "recurrence"
         if method == "direct":
             series = k_direct(rs, args.lam, args.mu)
-            # P_q entries filled over the chain of tables k_direct read
-            meta["pq_states"] = _direct_table(rs, args.lam, args.mu).states()
+            # P_q entries, of every rank, in the table k_direct read
+            meta["pq_states"] = len(_direct_table(rs, args.lam, args.mu).memo)
         else:
             series = k_recurrence_finite(rs, args.lam, args.mu)
             meta["pq_states"] = 0

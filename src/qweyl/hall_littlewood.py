@@ -20,7 +20,7 @@ __all__ = [
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .branching import CharExpansion
+from .branching import CharExpansion, _check_family
 from .partitions import (
     Partition,
     check_bound,
@@ -30,7 +30,7 @@ from .partitions import (
     weight,
 )
 from .qseries import QSeries
-from .recurrence import k_limit
+from .recurrence import _k_limit
 
 
 @dataclass
@@ -79,11 +79,12 @@ def qprime_expansion(family: str, mu: Partition, D: int) -> CharExpansion:
     The support is exhausted by |lambda| <= |mu| + 2D since the lowest
     degree of K_{lambda,mu} is at least (|lambda| - |mu|) / 2.
     """
+    _check_family(family)
     mu = check_partition(mu)
     check_bound(D, "D")
     terms: dict[Partition, QSeries] = {}
     for lam in enumerate_partitions(weight(mu) + 2 * D):
-        series = k_limit(family, lam, mu, D)
+        series = _k_limit(family, lam, mu, D)
         if series:
             terms[lam] = series
     return CharExpansion(family, terms)
@@ -91,6 +92,7 @@ def qprime_expansion(family: str, mu: Partition, D: int) -> CharExpansion:
 
 def k_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
     """The matrix K_{lam,mu}(q) mod q^{D+1} over the partition window."""
+    _check_family(family)
     check_bound(weight_bound, "weight_bound")
     check_bound(D, "D")
     index = enumerate_partitions(weight_bound)
@@ -103,7 +105,7 @@ def k_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
                 break
             if (wl - wm) % 2 or not dominates(lam, mu):
                 continue
-            series = k_limit(family, lam, mu, D)
+            series = _k_limit(family, lam, mu, D)
             if series:
                 entries[(lam, mu)] = series
     return TruncatedKMatrix(family, weight_bound, D, index, entries)

@@ -4,8 +4,9 @@ alternating-sum definition of the graded multiplicities K_{lambda,mu}(q).
 
 P_q(beta) counts multisets of positive roots summing to beta, graded by
 multiset size.  The table peels one coordinate at a time: the roots that
-touch eps_1 account for beta_1, and the rest of beta goes to the table
-of rank n - 1, the rank-lowering that also drives the recurrence engine.
+touch eps_1 account for beta_1, and the rest of beta is a key of rank
+n - 1 in the same table, the rank-lowering that also drives the
+recurrence engine.
 A table holds each P_q(beta) as one packed integer, coefficient k in
 bits [k w, (k + 1) w): the Kronecker substitution q -> 2^w, under which
 a sum of polynomials is one integer addition.  `pq_width` picks a slot
@@ -114,35 +115,28 @@ def _block_weight(kind: str, m: int, s: int, e: int) -> tuple[tuple[int, int], .
 
 
 class QKostantTable:
-    """Memoized q-Kostant partition function for one root system, packed
-    in slots of `width` bits.
+    """Memoized q-Kostant partition function for one type at every rank,
+    packed in slots of `width` bits.
 
-    P_q(beta) is peeled one coordinate at a time: the roots touching
-    eps_1 take care of beta_1, and what they leave of the tail of beta is
-    looked up in the rank-(n - 1) table of the same width, so tables are
-    shared across ranks.  Rank 1 has a closed form (`_rank_one`).
-    `memo` maps beta to the packed P_q(beta).
+    `memo` maps beta to the packed P_q(beta); the rank of a key is
+    len(beta).  P_q(beta) is peeled one coordinate at a time: the roots
+    touching eps_1 take care of beta_1, and what they leave of the tail
+    of beta is a key one shorter in the same memo, so every rank shares
+    one table.  A key of length 1 holds its closed form (`_rank_one`).
     """
 
-    def __init__(self, rs: RootSystem, width: int):
-        self.rs = rs
+    def __init__(self, kind: str, width: int):
+        self.kind = kind
         self.width = width
-        self.lower = _table(RootSystem(rs.kind, rs.rank - 1), width) if rs.rank > 2 else None
         self.memo: dict[tuple[int, ...], int] = {}
 
     def pq_coeffs(self, beta: tuple[int, ...]) -> dict[int, int]:
         """Coefficients {k: P^k(beta)} of P_q(beta), nonzero ones only."""
-        if len(beta) != self.rs.rank:
-            raise ValueError("weight has wrong length")
         if any(s < 0 for s in accumulate(beta)):
             return {}
-        if self.rs.kind in ("C", "D") and sum(beta) % 2:
+        if self.kind in ("C", "D") and sum(beta) % 2:
             return {}
         return _unpack(self._rec(beta), self.width)
-
-    def states(self) -> int:
-        """Entries held by this table and every lower-rank table it reads."""
-        return len(self.memo) + (self.lower.states() if self.lower else 0)
 
     def _rec(self, beta: tuple[int, ...]) -> int:
         """Packed P_q(beta) for beta with nonnegative prefix sums.
@@ -170,29 +164,24 @@ class QKostantTable:
         hit = self.memo.get(beta)
         if hit is not None:
             return hit
-        kind, lower, width = self.rs.kind, self.lower, self.width
+        kind, width = self.kind, self.width
         s, tail = beta[0], beta[1:]
+        if not tail:
+            acc = self.memo[beta] = _rank_one(kind, s, width)
+            return acc
         if not s:
-            acc = lower._rec(tail) if lower else _rank_one(kind, tail[0], width)
-            self.memo[beta] = acc
+            acc = self.memo[beta] = self._rec(tail)
             return acc
         sums = [0] * (s + 1)
         tk, step = tail[-1], 1 if kind == "B" else 2
-        if lower is None:
-            heads = [((), s, 0)]
-        else:
-            heads = _heads(tail[:-1], s)
-            get, rec = lower.memo.get, lower._rec
-        for head, left, prefix in heads:
+        get, rec = self.memo.get, self._rec
+        for head, left, prefix in _heads(tail[:-1], s):
             lo = tk - left if tk - left > -prefix else -prefix
             for x in range(lo, tk + left + 1, step):
-                if lower is None:
-                    sub = _rank_one(kind, x, width)
-                else:
-                    rest = head + (x,)
-                    sub = get(rest)
-                    if sub is None:
-                        sub = rec(rest)
+                rest = head + (x,)
+                sub = get(rest)
+                if sub is None:
+                    sub = rec(rest)
                 sums[left - (tk - x if x < tk else x - tk)] += sub
         m = len(tail)
         acc = 0
@@ -218,14 +207,16 @@ def _heads(head: tuple[int, ...], budget: int) -> list[tuple[tuple[int, ...], in
 
 
 @cache
-def _table(rs: RootSystem, width: int) -> QKostantTable:
-    return QKostantTable(rs, width)
+def _table(kind: str, width: int) -> QKostantTable:
+    return QKostantTable(kind, width)
 
 
 def q_kostant(rs: RootSystem, beta) -> QSeries:
     """P_q(beta): multisets of positive roots summing to beta, by size."""
     beta = integral_parts(beta)
-    return QSeries(_table(rs, pq_width(rs, _height(beta))).pq_coeffs(beta))
+    if len(beta) != rs.rank:
+        raise ValueError("weight has wrong length")
+    return QSeries(_table(rs.kind, pq_width(rs, _height(beta))).pq_coeffs(beta))
 
 
 def _direct_table(rs: RootSystem, lam: Partition, mu: Partition) -> QKostantTable:
@@ -236,7 +227,7 @@ def _direct_table(rs: RootSystem, lam: Partition, mu: Partition) -> QKostantTabl
     from it (see `_rec`); its width is pq_width of that height."""
     n = rs.rank
     height = _height(padded(lam, n)) - _height(padded(mu, n))
-    return _table(rs, pq_width(rs, height))
+    return _table(rs.kind, pq_width(rs, height))
 
 
 def k_direct(rs: RootSystem, lam: Partition, mu: Partition) -> QSeries:

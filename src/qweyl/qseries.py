@@ -97,9 +97,6 @@ class QSeries:
             return NotImplemented
         return self.coeffs == other.coeffs and self.trunc == other.trunc
 
-    def __hash__(self):
-        return hash((frozenset(self.coeffs.items()), self.trunc))
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":

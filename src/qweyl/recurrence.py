@@ -87,12 +87,14 @@ def _k_finite(kind: str, n: int, nu_w: tuple, mu_w: tuple) -> QSeries:
         return QSeries.one()
     if nu_w and nu_w[-1] < 0:
         return _k_finite(kind, n, diagram_flip(kind, n, nu_w), diagram_flip(kind, n, mu_w))
+    # a loop in this frame, not a generator passed to combination, so that
+    # the descent costs one stack frame per rank
     mu_flat = mu_w[1:]
-    return QSeries.combination(
-        (sign * pc, shift, _k_finite(kind, n - 1, lam, mu_flat))
-        for sign, shift, gamma, r in _step(kind == "C", nu_w, mu_w[0] if mu_w else 0)
-        for lam, pc in _finite_pieri(kind, n - 1, gamma, r)
-    )
+    terms = []
+    for sign, shift, gamma, r in _step(kind == "C", nu_w, mu_w[0] if mu_w else 0):
+        for lam, pc in _finite_pieri(kind, n - 1, gamma, r):
+            terms.append((sign * pc, shift, _k_finite(kind, n - 1, lam, mu_flat)))
+    return QSeries.combination(terms)
 
 
 def k_recurrence_finite(rs: RootSystem, nu: Partition, mu: Partition) -> QSeries:

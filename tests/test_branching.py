@@ -496,6 +496,21 @@ def test_char_expansion_validation():
     assert CharExpansion("so", {(1,): QSeries.zero()}).terms == {}
 
 
+def test_char_expansion_normalises_and_checks_its_terms():
+    one = QSeries.one()
+    # a key with trailing zeros is stored, read and conjugated as its partition
+    ch = CharExpansion("so", {(1, 0): one})
+    assert ch.terms == {(1,): one}
+    assert ch.coeff((1,)) == one and phi(ch).coeff((1,)) == one
+    for terms in (
+        {(1, 2): one},  # parts not weakly decreasing
+        {(1,): 3},  # a coefficient that is not a series
+        {(1, 0): one, (1,): one},  # two keys of one partition
+    ):
+        with pytest.raises(ValueError):
+            CharExpansion("so", terms)
+
+
 def test_char_expansion_coeff_normalises_its_shape():
     ch = sym_char_stable("so", 1)
     assert ch.terms == {(1, 1): QSeries.monomial(1)}

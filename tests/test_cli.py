@@ -127,13 +127,21 @@ def test_usage_errors(capsys):
         # a grid with no check in it
         ("verify", "--suite", "stability", "--max-weight", "0", "--max-k", "0"),
         # a rank past the depth of the Python stack
-        ("k", "--type", "B", "--rank", "260", "--lam", "1"),
-        ("k", "--type", "B", "--rank", "260", "--lam", "1", "--method", "recurrence"),
+        ("k", "--type", "B", "--rank", "1000", "--lam", "1"),
+        ("k", "--type", "B", "--rank", "1000", "--lam", "1", "--method", "recurrence"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
         assert "Traceback" not in err
+
+
+def test_recurrence_reaches_rank_260(capsys):
+    # one stack frame of the finite recurrence per rank: the so(521)
+    # vector representation has K_{(1),()} = q^260
+    code, out, _ = run(capsys, "k", "--type", "B", "--rank", "260", "--lam", "1")
+    assert code == 0
+    assert out.strip() == "q^260"
 
 
 def test_cache_option_is_gone(capsys):
@@ -369,9 +377,10 @@ def test_k_json_params_name_the_default_method(capsys):
 
 
 def test_k_json_meta_reports_pq_states(capsys):
-    # every entry of the B6..B2 P_q tables k_direct filled, beside cache_stats;
-    # the tables are per process, so start them empty as a command does
-    for method, states in (("direct", 761), ("recurrence", 0)):
+    # every entry, of ranks 6 down to 1, of the P_q table k_direct filled,
+    # beside cache_stats; the tables are per process, so start them empty
+    # as a command does
+    for method, states in (("direct", 765), ("recurrence", 0)):
         _table.cache_clear()
         code, out, _ = run(capsys, "k", "--type", "B", "--rank", "6", "--lam", "3",
                            "--method", method, "--format", "json")

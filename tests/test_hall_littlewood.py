@@ -143,6 +143,25 @@ def test_matmul_matches_naive_product(family, bound, D):
         assert prod.entries == _naive_product(a, b)
 
 
+def test_window_builders_validate_once_then_read_the_stable_table():
+    # the cells read the unchecked _k_limit, which would take an unknown
+    # family for "so": the builders check the family and bounds first;
+    # each cell equals the public k_limit it stands for
+    for make in (lambda: k_matrix("gl", 2, 2), lambda: k_matrix("so", -1, 2),
+                 lambda: k_matrix("so", 2, -1), lambda: qprime_expansion("gl", (1,), 2),
+                 lambda: qprime_expansion("so", (1, 2), 2),
+                 lambda: qprime_expansion("so", (1,), -1)):
+        with pytest.raises(ValueError):
+            make()
+    for family in ("so", "sp"):
+        km = k_matrix(family, 5, 3)
+        for (lam, mu), series in km.entries.items():
+            assert series == k_limit(family, lam, mu, 3)
+        exp = qprime_expansion(family, (1, 1), 3)
+        for lam, series in exp.terms.items():
+            assert series == k_limit(family, lam, (1, 1), 3)
+
+
 def test_matmul_index_mismatch():
     with pytest.raises(ValueError):
         k_matrix("so", 4, 2).matmul(k_matrix("so", 2, 2))

@@ -178,12 +178,6 @@ def dict_peel(kind, beta, memo, cut):
     return acc
 
 
-def _chain(tab):
-    while tab is not None:
-        yield tab
-        tab = tab.lower
-
-
 def _packed_against_dict_peel():
     """(states compared, odd-e rests with nonzero P_q the cut skipped)"""
     cut, states = {}, 0
@@ -193,12 +187,17 @@ def _packed_against_dict_peel():
         for n in range(2, 7):
             rs = RootSystem(kind, n)
             k_direct(rs, lam, mu)
-            for tab in _chain(_direct_table(rs, lam, mu)):
-                for beta, packed in tab.memo.items():
-                    states += 1
+        # each table the case read, once: ranks 2-6 of one width share a
+        # table, and it holds the keys of every rank
+        for tab in {_direct_table(RootSystem(kind, n), lam, mu) for n in range(2, 7)}:
+            for beta, packed in tab.memo.items():
+                states += 1
+                if len(beta) == 1:
+                    want = _dict_rank_one(kind, beta[0])
+                else:
                     want = dict_peel(kind, beta, memo, cut)
-                    assert _unpack(packed, tab.width) == want, (tab.rs, beta)
-                    assert tab.pq_coeffs(beta) == want, (tab.rs, beta)
+                assert _unpack(packed, tab.width) == want, (kind, beta)
+                assert tab.pq_coeffs(beta) == want, (kind, beta)
     return states, cut
 
 
@@ -263,12 +262,12 @@ def test_every_state_k_direct_fills_fits_its_width():
                     k_direct(rs, lam, mu)
                     top = _height(padded(lam, n)) - _height(padded(mu, n))
                     bits = comb(roots + top - 1, top).bit_length()
-                    for tab in _chain(_direct_table(rs, lam, mu)):
-                        for beta, packed in tab.memo.items():
-                            assert _height(beta) <= top, (rs, lam, mu, beta)
-                            coeffs = _unpack(packed, tab.width).values()
-                            assert max(coeffs, default=0).bit_length() <= bits
-                            checked += 1
+                    tab = _direct_table(rs, lam, mu)
+                    for beta, packed in tab.memo.items():
+                        assert _height(beta) <= top, (rs, lam, mu, beta)
+                        coeffs = _unpack(packed, tab.width).values()
+                        assert max(coeffs, default=0).bit_length() <= bits
+                        checked += 1
     _table.cache_clear()
     assert checked > 1000
 
@@ -279,10 +278,10 @@ def test_a_narrow_width_decodes_wrongly():
     B3, beta = RootSystem("B", 3), (4, 2, 0)
     want = q_kostant(B3, beta).coeffs
     assert max(want.values()) == 55
-    assert QKostantTable(B3, 4).pq_coeffs(beta) != want
+    assert QKostantTable("B", 4).pq_coeffs(beta) != want
     bits = comb(9 + 16 - 1, 16).bit_length()
-    assert QKostantTable(B3, bits).pq_coeffs(beta) == want
-    assert QKostantTable(B3, 64).pq_coeffs(beta) == want
+    assert QKostantTable("B", bits).pq_coeffs(beta) == want
+    assert QKostantTable("B", 64).pq_coeffs(beta) == want
 
 
 def test_q_kostant_rejects_non_integral_coordinates():
@@ -291,6 +290,28 @@ def test_q_kostant_rejects_non_integral_coordinates():
         with pytest.raises(ValueError):
             q_kostant(B2, beta)
     assert q_kostant(B2, (2.0, 0)) == q_kostant(B2, (2, 0))
+
+
+def test_q_kostant_rejects_a_weight_of_the_wrong_length():
+    B3 = RootSystem("B", 3)
+    for beta in ((1, 0), (1, 0, 0, 0), ()):
+        with pytest.raises(ValueError, match="wrong length"):
+            q_kostant(B3, beta)
+
+
+def test_one_table_per_type_and_width_holds_every_rank():
+    # B6 (3) and B5 (3) both read the width-64 table of type B: the
+    # second query adds no table, and the one memo holds keys of every
+    # length from 1 to 6
+    _table.cache_clear()
+    B6, B5 = RootSystem("B", 6), RootSystem("B", 5)
+    k_direct(B6, (3,), ())
+    k_direct(B5, (3,), ())
+    assert _table.cache_info().currsize == 1
+    tab = _direct_table(B5, (3,), ())
+    assert tab is _direct_table(B6, (3,), ()) and tab.width == 64
+    assert {len(beta) for beta in tab.memo} == set(range(1, 7))
+    _table.cache_clear()
 
 
 def test_pq_examples():

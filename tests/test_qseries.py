@@ -33,6 +33,14 @@ def test_non_integral_degree_or_coefficient_rejected():
             make()
 
 
+def test_series_are_unhashable():
+    # equal to the int 1 yet mutable through coeffs: no hash can keep the
+    # hash/eq contract, so a series is never a dict key or a set member
+    assert QSeries.one() == 1
+    with pytest.raises(TypeError):
+        hash(QSeries.one())
+
+
 def test_str():
     assert str(QSeries({1: 1, 3: 1})) == "q + q^3"
     assert str(QSeries({0: 2, 2: -1})) == "2 - q^2"
