@@ -27,9 +27,7 @@ __all__ = [
     "euler_factor_coeffs",
 ]
 
-from dataclasses import dataclass, field
 from functools import cache
-from typing import Optional
 
 from .lr import lr_coefficient
 from .partitions import (
@@ -49,31 +47,39 @@ _FAMILIES = ("so", "sp")
 _N_OFFSET = {"B": 1, "C": 2, "D": 0}
 
 
-@dataclass
 class CharExpansion:
     """A finite sum of universal (or finite-rank) characters with QSeries
     coefficients: sum over terms of coeff(q) * s_lambda^{basis}."""
 
-    basis: str  # "so" | "sp"
-    terms: dict[Partition, QSeries] = field(default_factory=dict)
-    rank: Optional[int] = None
-
-    def __post_init__(self):
-        if self.basis not in _FAMILIES:
-            raise ValueError(f"unknown basis {self.basis!r}")
-        terms = {}
-        for key, c in self.terms.items():
+    def __init__(self, basis: str, terms: dict[Partition, QSeries] | None = None,
+                 rank: int | None = None):
+        if basis not in _FAMILIES:
+            raise ValueError(f"unknown basis {basis!r}")
+        checked = {}
+        for key, c in (terms or {}).items():
             lam = check_partition(key)
             if not isinstance(c, QSeries):
                 raise ValueError(f"coefficient of {lam} is not a QSeries: {c!r}")
-            if lam in terms:
+            if lam in checked:
                 raise ValueError(f"two keys normalise to the partition {lam}")
-            terms[lam] = c
-        self.terms = {lam: c for lam, c in terms.items() if not c.is_zero()}
-        if self.rank is not None:
+            checked[lam] = c
+        self.basis = basis  # "so" | "sp"
+        self.terms = {lam: c for lam, c in checked.items() if not c.is_zero()}
+        self.rank = rank
+        if rank is not None:
             for lam in self.terms:
-                if len(lam) > self.rank:
-                    raise ValueError(f"partition {lam} too long for rank {self.rank}")
+                if len(lam) > rank:
+                    raise ValueError(f"partition {lam} too long for rank {rank}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.basis, self.terms, self.rank) == (other.basis, other.terms, other.rank)
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return f"CharExpansion(basis={self.basis!r}, terms={self.terms!r}, rank={self.rank!r})"
 
     def coeff(self, lam: Partition) -> QSeries:
         return self.terms.get(check_partition(lam), QSeries.zero())
@@ -185,11 +191,16 @@ def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], in
     reads it through the flip).
     """
     check_bound(k, "k")
-    return specialise(
-        {lam: _sym_mult(rs.family, k, lam) for lam in enumerate_partitions(2 * k)},
-        rs.kind,
-        rs.rank,
-    )
+    return dict(_sym_decomposition(rs.kind, rs.rank, k))
+
+
+@cache
+def _sym_decomposition(kind: str, n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """sym_decomposition_finite of the rank-n algebra of a known type, as
+    (key, multiplicity) pairs, k >= 0."""
+    family = "sp" if kind == "C" else "so"
+    stable = {lam: _sym_mult(family, k, lam) for lam in enumerate_partitions(2 * k)}
+    return tuple(specialise(stable, kind, n).items())
 
 
 def sym_mult_finite(rs: RootSystem, k: int, lam: Partition) -> int:

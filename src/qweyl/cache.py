@@ -15,7 +15,6 @@ malformed raises CorruptCacheError.
 
 __all__ = ["cache_save", "cache_load", "CorruptCacheError"]
 
-import ast
 import os
 import struct
 import zlib
@@ -53,6 +52,8 @@ def cache_save(path: str) -> None:
 
 def cache_load(path: str) -> None:
     """Merge a previously saved cache; missing file is a no-op."""
+    import ast  # here, not at module level: only loading parses keys
+
     if not os.path.exists(path):
         return
     with open(path, "rb") as fh:

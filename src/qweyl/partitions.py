@@ -22,8 +22,8 @@ __all__ = [
     "partition_sort_key",
 ]
 
+from collections.abc import Iterator
 from functools import cache
-from typing import Iterator, Optional
 
 Partition = tuple[int, ...]
 
@@ -139,7 +139,7 @@ def remove_horizontal_strips(p: Partition, size: int) -> Iterator[Partition]:
     return _box_tuples(p[1:] + (0,) if p else (), p, weight(p) - size)
 
 
-def _partitions_of(k: int, max_part: Optional[int] = None) -> Iterator[Partition]:
+def _partitions_of(k: int, max_part: int | None = None) -> Iterator[Partition]:
     """Partitions of k in reverse lexicographic order."""
     if k == 0:
         yield ()
@@ -153,7 +153,7 @@ def _partitions_of(k: int, max_part: Optional[int] = None) -> Iterator[Partition
 def enumerate_partitions(
     max_weight: int,
     cls: str = "all",
-    exact_weight: Optional[int] = None,
+    exact_weight: int | None = None,
 ) -> list[Partition]:
     """List partitions of a class, in (weight, reverse-lex) order.
 

@@ -11,13 +11,11 @@ bound.  Without D the series is an exact polynomial.  That rule lives in
 
 __all__ = ["QSeries"]
 
-from typing import Optional
-
 
 class QSeries:
     __slots__ = ("coeffs", "trunc")
 
-    def __init__(self, coeffs=None, trunc: Optional[int] = None):
+    def __init__(self, coeffs=None, trunc: int | None = None):
         # the rule of partitions.check_bound, inlined: this is a hot path
         if trunc is not None and not (isinstance(trunc, int) and trunc >= 0):
             raise ValueError(f"truncation bound must be an integer >= 0, got {trunc!r}")
@@ -37,19 +35,19 @@ class QSeries:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero(trunc: Optional[int] = None) -> "QSeries":
+    def zero(trunc: int | None = None) -> "QSeries":
         return QSeries({}, trunc)
 
     @staticmethod
-    def one(trunc: Optional[int] = None) -> "QSeries":
+    def one(trunc: int | None = None) -> "QSeries":
         return QSeries({0: 1}, trunc)
 
     @staticmethod
-    def monomial(deg: int, coeff: int = 1, trunc: Optional[int] = None) -> "QSeries":
+    def monomial(deg: int, coeff: int = 1, trunc: int | None = None) -> "QSeries":
         return QSeries({deg: coeff}, trunc)
 
     @staticmethod
-    def combination(terms, trunc: Optional[int] = None) -> "QSeries":
+    def combination(terms, trunc: int | None = None) -> "QSeries":
         """sum of factor * q^shift * series over (factor, shift, series) triples.
 
         Truncates at the smallest of `trunc` and the series' bounds, like a
@@ -123,10 +121,10 @@ class QSeries:
         """Multiply by q^k."""
         return QSeries.combination([(1, k, self)])
 
-    def truncated(self, trunc: Optional[int]) -> "QSeries":
+    def truncated(self, trunc: int | None) -> "QSeries":
         return QSeries.combination([(1, 0, self)], trunc)
 
-    def div_one_minus_qm(self, m: int, trunc: Optional[int] = None) -> "QSeries":
+    def div_one_minus_qm(self, m: int, trunc: int | None = None) -> "QSeries":
         """Multiply by the geometric series 1/(1 - q^m), truncated.
 
         A truncation bound must come either from the series itself or

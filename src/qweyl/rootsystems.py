@@ -24,24 +24,58 @@ __all__ = [
     "weyl_dim",
 ]
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from functools import cache
-from typing import Iterator
+from operator import attrgetter
 
 from .partitions import check_bound, check_partition, integral_parts, padded
 
 Weight = tuple[int, ...]  # doubled coordinates
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    kind: str  # "B" | "C" | "D"
-    rank: int
+class _Frozen:
+    """Immutable, hashable value with the fields named in __slots__ (set
+    by the subclass __init__ through object.__setattr__): equal to an
+    object of its own class with equal fields."""
 
-    def __post_init__(self):
-        if self.kind not in ("B", "C", "D"):
-            raise ValueError(f"unknown type {self.kind!r}")
-        check_bound(self.rank, "rank", 2)
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the tuple of field values (every subclass has two or more fields)
+        cls._fields = property(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields))
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, as __setattr__ refuses
+        return type(self), self._fields
+
+
+class RootSystem(_Frozen):
+    __slots__ = ("kind", "rank")  # kind: "B" | "C" | "D"
+
+    def __init__(self, kind: str, rank: int):
+        if kind not in ("B", "C", "D"):
+            raise ValueError(f"unknown type {kind!r}")
+        check_bound(rank, "rank", 2)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rank", rank)
 
     def __str__(self):
         return f"{self.kind}{self.rank}"
@@ -83,12 +117,14 @@ def check_dominant(rs: RootSystem, w) -> tuple[int, ...]:
     return p
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(_Frozen):
     """w(eps_j) = -eps_{perm[j]} if j in flips else eps_{perm[j]} (0-based)."""
 
-    perm: tuple[int, ...]
-    flips: frozenset[int] = field(default_factory=frozenset)
+    __slots__ = ("perm", "flips")
+
+    def __init__(self, perm: tuple[int, ...], flips: frozenset[int] = frozenset()):
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "flips", flips)
 
     def act(self, beta: Weight) -> Weight:
         out = [0] * len(beta)

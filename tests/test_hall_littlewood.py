@@ -2,7 +2,7 @@
 
 import pytest
 
-from qweyl.hall_littlewood import k_matrix, p_basis_matrix, qprime_expansion
+from qweyl.hall_littlewood import TruncatedKMatrix, k_matrix, p_basis_matrix, qprime_expansion
 from qweyl.partitions import conjugate, dominates, enumerate_partitions, weight
 from qweyl.qseries import QSeries
 from qweyl.recurrence import k_limit
@@ -83,6 +83,30 @@ def test_qprime_support_bound():
     assert ex.coeff((1, 1)) == QSeries.one(D)
     for lam, c in ex.terms.items():
         assert c.low_degree() >= (weight(lam) - 2 + 1) // 2
+
+
+def test_truncated_k_matrix_is_an_unhashable_value():
+    km = k_matrix("so", 1, 1)
+    same = TruncatedKMatrix(family="so", weight_bound=1, degree=1, index=[(), (1,)],
+                            entries=dict(km.entries))
+    assert km == same
+    for other in (
+        TruncatedKMatrix("sp", 1, 1, km.index, km.entries),
+        TruncatedKMatrix("so", 2, 1, km.index, km.entries),
+        TruncatedKMatrix("so", 1, 2, km.index, km.entries),
+        TruncatedKMatrix("so", 1, 1, [()], km.entries),
+        TruncatedKMatrix("so", 1, 1, km.index, {}),
+    ):
+        assert km != other
+    assert km != ("so", 1, 1, km.index, km.entries)
+    assert repr(km) == (
+        "TruncatedKMatrix(family='so', weight_bound=1, degree=1, index=[(), (1,)], "
+        "entries={((), ()): QSeries({0: 1}, trunc=1), ((1,), (1,)): QSeries({0: 1}, trunc=1)})"
+    )
+    with pytest.raises(TypeError):
+        hash(km)
+    with pytest.raises(TypeError):
+        TruncatedKMatrix("so", 1, 1, [()])  # every field is required
 
 
 def test_entry_normalises_list_shapes():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import product
 
@@ -183,3 +185,50 @@ def test_algebra_names():
     assert RootSystem("D", 4).algebra == "so8"
     assert RootSystem("B", 3).family == "so"
     assert RootSystem("C", 3).family == "sp"
+
+
+def test_root_system_is_a_frozen_hashable_value():
+    rs = RootSystem("B", 3)
+    assert rs == RootSystem(kind="B", rank=3)
+    assert rs != RootSystem("D", 3) and rs != RootSystem("B", 4) and rs != ("B", 3)
+    assert hash(rs) == hash(RootSystem("B", 3))
+    assert {rs: 1}[RootSystem("B", 3)] == 1
+    assert repr(rs) == "RootSystem(kind='B', rank=3)" and str(rs) == "B3"
+    for name, value in (("kind", "C"), ("rank", 4), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(rs, name, value)
+    with pytest.raises(AttributeError):
+        del rs.rank
+    assert rs == RootSystem("B", 3)
+    assert pickle.loads(pickle.dumps(rs)) == copy.deepcopy(rs) == rs
+    # keyword construction validates as positional construction does
+    for kwargs in ({"kind": "A", "rank": 3}, {"kind": "B", "rank": 1}):
+        with pytest.raises(ValueError):
+            RootSystem(**kwargs)
+    with pytest.raises(TypeError):
+        RootSystem("B")
+    # rho_doubled is memoised on the root system: an equal one is a hit
+    rho_doubled(RootSystem("C", 7))
+    hits = rho_doubled.cache_info().hits
+    assert rho_doubled(RootSystem("C", 7)) == (14, 12, 10, 8, 6, 4, 2)
+    assert rho_doubled.cache_info().hits == hits + 1
+
+
+def test_signed_permutation_is_a_frozen_hashable_value():
+    w = SignedPermutation((1, 0, 2), frozenset({0}))
+    assert w == SignedPermutation(perm=(1, 0, 2), flips=frozenset({0}))
+    assert w != SignedPermutation((1, 0, 2)) and w != ((1, 0, 2), frozenset({0}))
+    # flips defaults to the empty set
+    assert SignedPermutation((1, 0)) == SignedPermutation((1, 0), frozenset())
+    assert SignedPermutation(perm=(1, 0)).flips == frozenset()
+    assert hash(w) == hash(SignedPermutation((1, 0, 2), frozenset({0})))
+    assert len({w, SignedPermutation((1, 0, 2), frozenset({0})), SignedPermutation((1, 0, 2))}) == 2
+    assert repr(w) == "SignedPermutation(perm=(1, 0, 2), flips=frozenset({0}))"
+    assert repr(SignedPermutation((0,))) == "SignedPermutation(perm=(0,), flips=frozenset())"
+    assert w.act((2, 4, 6)) == (4, -2, 6)
+    assert pickle.loads(pickle.dumps(w)) == copy.copy(w) == w
+    for name in ("perm", "flips"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, ())
+    # the benchmark's tracer wraps act in the class dict
+    assert "act" in vars(SignedPermutation)
