@@ -40,6 +40,7 @@ from .partitions import (
     weight,
 )
 from .qseries import QSeries
+from .records import Record
 from .rootsystems import RootSystem, check_dominant, degrees, diagram_flip
 
 _FAMILIES = ("so", "sp")
@@ -47,9 +48,11 @@ _FAMILIES = ("so", "sp")
 _N_OFFSET = {"B": 1, "C": 2, "D": 0}
 
 
-class CharExpansion:
+class CharExpansion(Record):
     """A finite sum of universal (or finite-rank) characters with QSeries
     coefficients: sum over terms of coeff(q) * s_lambda^{basis}."""
+
+    __slots__ = ("basis", "terms", "rank")  # basis: "so" | "sp"
 
     def __init__(self, basis: str, terms: dict[Partition, QSeries] | None = None,
                  rank: int | None = None):
@@ -63,23 +66,13 @@ class CharExpansion:
             if lam in checked:
                 raise ValueError(f"two keys normalise to the partition {lam}")
             checked[lam] = c
-        self.basis = basis  # "so" | "sp"
+        self.basis = basis
         self.terms = {lam: c for lam, c in checked.items() if not c.is_zero()}
         self.rank = rank
         if rank is not None:
             for lam in self.terms:
                 if len(lam) > rank:
                     raise ValueError(f"partition {lam} too long for rank {rank}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.basis, self.terms, self.rank) == (other.basis, other.terms, other.rank)
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        return f"CharExpansion(basis={self.basis!r}, terms={self.terms!r}, rank={self.rank!r})"
 
     def coeff(self, lam: Partition) -> QSeries:
         return self.terms.get(check_partition(lam), QSeries.zero())
@@ -191,16 +184,11 @@ def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], in
     reads it through the flip).
     """
     check_bound(k, "k")
-    return dict(_sym_decomposition(rs.kind, rs.rank, k))
-
-
-@cache
-def _sym_decomposition(kind: str, n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """sym_decomposition_finite of the rank-n algebra of a known type, as
-    (key, multiplicity) pairs, k >= 0."""
-    family = "sp" if kind == "C" else "so"
-    stable = {lam: _sym_mult(family, k, lam) for lam in enumerate_partitions(2 * k)}
-    return tuple(specialise(stable, kind, n).items())
+    return specialise(
+        {lam: _sym_mult(rs.family, k, lam) for lam in enumerate_partitions(2 * k)},
+        rs.kind,
+        rs.rank,
+    )
 
 
 def sym_mult_finite(rs: RootSystem, k: int, lam: Partition) -> int:

@@ -29,12 +29,15 @@ from .partitions import (
     weight,
 )
 from .qseries import QSeries
+from .records import Record
 from .recurrence import _k_limit
 
 
-class TruncatedKMatrix:
+class TruncatedKMatrix(Record):
     """A square matrix over truncated q-series, indexed by the partitions
     of weight <= weight_bound in (weight, reverse-lex) order."""
+
+    __slots__ = ("family", "weight_bound", "degree", "index", "entries")
 
     def __init__(self, family: str, weight_bound: int, degree: int, index: list[Partition],
                  entries: dict[tuple[Partition, Partition], QSeries]):
@@ -43,21 +46,6 @@ class TruncatedKMatrix:
         self.degree = degree
         self.index = index
         self.entries = entries
-
-    @property
-    def _fields(self) -> tuple:
-        return (self.family, self.weight_bound, self.degree, self.index, self.entries)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields == other._fields
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        return ("TruncatedKMatrix(family={!r}, weight_bound={!r}, degree={!r}, index={!r}, "
-                "entries={!r})".format(*self._fields))
 
     def entry(self, lam: Partition, mu: Partition) -> QSeries:
         key = (check_partition(lam), check_partition(mu))

@@ -26,48 +26,14 @@ __all__ = [
 
 from collections.abc import Iterator
 from functools import cache
-from operator import attrgetter
 
 from .partitions import check_bound, check_partition, integral_parts, padded
+from .records import FrozenRecord
 
 Weight = tuple[int, ...]  # doubled coordinates
 
 
-class _Frozen:
-    """Immutable, hashable value with the fields named in __slots__ (set
-    by the subclass __init__ through object.__setattr__): equal to an
-    object of its own class with equal fields."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        # the tuple of field values (every subclass has two or more fields)
-        cls._fields = property(attrgetter(*cls.__slots__))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields == other._fields
-
-    def __hash__(self):
-        return hash(self._fields)
-
-    def __repr__(self):
-        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields))
-        return f"{type(self).__name__}({args})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, as __setattr__ refuses
-        return type(self), self._fields
-
-
-class RootSystem(_Frozen):
+class RootSystem(FrozenRecord):
     __slots__ = ("kind", "rank")  # kind: "B" | "C" | "D"
 
     def __init__(self, kind: str, rank: int):
@@ -117,7 +83,7 @@ def check_dominant(rs: RootSystem, w) -> tuple[int, ...]:
     return p
 
 
-class SignedPermutation(_Frozen):
+class SignedPermutation(FrozenRecord):
     """w(eps_j) = -eps_{perm[j]} if j in flips else eps_{perm[j]} (0-based)."""
 
     __slots__ = ("perm", "flips")

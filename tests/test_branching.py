@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from qweyl.branching import (
     CharExpansion,
-    _sym_decomposition,
     _sym_mult,
     branching,
     euler_factor_coeffs,
@@ -384,7 +383,7 @@ _bad_ranks = st.one_of(st.integers(max_value=1), st.sampled_from([2.5, 3.0, -1.5
 @settings(max_examples=60, deadline=None)
 @given(_systems, _bad_shapes, _bad_degrees, _bad_ranks)
 def test_invalid_finite_inputs_raise_value_error(rs, bad, k, rank):
-    tables = (_table, _k_finite, _sym_mult, _sym_decomposition)
+    tables = (_table, _k_finite, _sym_mult)
     before = [t.cache_info() for t in tables]
     calls = [
         lambda: k_direct(rs, bad, ()),
@@ -415,45 +414,9 @@ def test_editing_a_decomposition_leaves_the_memo_intact():
     want = sym_decomposition_finite(rs, 1)
     harmonic = harmonic_char_finite(rs, 1).terms
     assert want and harmonic
-    # each call returns a fresh dict over the immutable memo entry
-    first = sym_decomposition_finite(rs, 1)
-    assert first is not sym_decomposition_finite(rs, 1)
-    first.clear()
+    sym_decomposition_finite(rs, 1).clear()
     assert sym_decomposition_finite(rs, 1) == want
-    assert sym_mult_finite(rs, 1, (1, 1)) == want[(1, 1)]
     assert harmonic_char_finite(rs, 1).terms == harmonic
-
-
-def _sym_decomposition_unmemoised(rs, k):
-    """sym_decomposition_finite as it was before its memo: the stable
-    S^k(g) table specialised afresh on every call."""
-    return specialise(
-        {lam: _sym_mult(rs.family, k, lam) for lam in enumerate_partitions(2 * k)},
-        rs.kind,
-        rs.rank,
-    )
-
-
-def test_memoised_decomposition_matches_the_unmemoised_one():
-    for kind in "BCD":
-        for n in range(2, 8):
-            rs = RootSystem(kind, n)
-            for k in range(5):
-                want = _sym_decomposition_unmemoised(rs, k)
-                assert sym_decomposition_finite(rs, k) == want, (rs, k)
-                for lam, m in want.items():
-                    assert sym_mult_finite(rs, k, lam) == m, (rs, k, lam)
-                assert sym_mult_finite(rs, k, (2 * k + 1,)) == 0
-
-
-def test_second_sym_mult_finite_call_is_a_memo_hit():
-    D6 = RootSystem("D", 6)
-    m = sym_mult_finite(D6, 6, (2, 2))
-    info = _sym_decomposition.cache_info()
-    assert sym_mult_finite(D6, 6, (2, 2)) == m
-    assert sym_mult_finite(RootSystem("D", 6), 6, (3, 1)) == sym_decomposition_finite(D6, 6)[(3, 1)]
-    after = _sym_decomposition.cache_info()
-    assert (after.hits, after.misses) == (info.hits + 3, info.misses)
 
 
 def _branching_unpruned(family, nu, lam):
@@ -539,6 +502,7 @@ def test_char_expansion_is_an_unhashable_value():
     assert ch == CharExpansion(basis="so", terms={(1,): one}, rank=None)
     assert ch != CharExpansion("sp", {(1,): one}) and ch != CharExpansion("so", {(1,): one}, rank=2)
     assert ch != CharExpansion("so", {(2,): one}) and ch != ("so", {(1,): one}, None)
+    assert ch.__eq__(("so", {(1,): one}, None)) is NotImplemented
     # terms defaults to empty and rank to None; no two expansions share terms
     a, b = CharExpansion("so"), CharExpansion(basis="so")
     assert a == b == CharExpansion("so", {}) and a.terms == {} and a.rank is None

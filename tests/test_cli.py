@@ -72,8 +72,7 @@ def test_json_meta_reports_every_memo_table(capsys):
     assert set(stats) == {"tables"}
     tables = stats["tables"]
     assert set(tables) == {
-        "rootsystems.rho_doubled", "qkostant._table", "branching._sym_mult",
-        "branching._sym_decomposition", "recurrence._k_finite", "recurrence._finite_pieri",
+        "rootsystems.rho_doubled", "qkostant._table", "branching._sym_mult", "recurrence._k_finite", "recurrence._finite_pieri",
         "recurrence._k_limit", "recurrence._morris_step", "pieri._pieri_support",
         "partitions._partitions_in_class",
         "lr.lr_cache",
@@ -95,7 +94,7 @@ def test_every_memo_table_is_reported():
             for member in members:
                 if callable(member) and hasattr(member, "cache_info"):
                     memos[id(member)] = member
-    assert len(memos) == len(cli._CACHED) == 10
+    assert len(memos) == len(cli._CACHED) == 9
     assert set(memos) == {id(fn) for fn in cli._CACHED}
 
 

@@ -99,6 +99,7 @@ def test_truncated_k_matrix_is_an_unhashable_value():
     ):
         assert km != other
     assert km != ("so", 1, 1, km.index, km.entries)
+    assert km.__eq__(("so", 1, 1, km.index, km.entries)) is NotImplemented
     assert repr(km) == (
         "TruncatedKMatrix(family='so', weight_bound=1, degree=1, index=[(), (1,)], "
         "entries={((), ()): QSeries({0: 1}, trunc=1), ((1,), (1,)): QSeries({0: 1}, trunc=1)})"

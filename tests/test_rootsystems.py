@@ -191,6 +191,8 @@ def test_root_system_is_a_frozen_hashable_value():
     rs = RootSystem("B", 3)
     assert rs == RootSystem(kind="B", rank=3)
     assert rs != RootSystem("D", 3) and rs != RootSystem("B", 4) and rs != ("B", 3)
+    # another class is left to decide, as with a dataclass
+    assert rs.__eq__(("B", 3)) is NotImplemented
     assert hash(rs) == hash(RootSystem("B", 3))
     assert {rs: 1}[RootSystem("B", 3)] == 1
     assert repr(rs) == "RootSystem(kind='B', rank=3)" and str(rs) == "B3"
