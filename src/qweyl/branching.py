@@ -151,13 +151,24 @@ def specialise(expansion: dict[Partition, int], kind: str, n: int) -> dict[tuple
     """
     if kind not in _N_OFFSET:
         raise ValueError(f"unknown type {kind!r}")
-    N = 2 * check_bound(n, "n") + _N_OFFSET[kind]
-    flip = 0 if kind == "C" else 1
-    out: dict[tuple[int, ...], int] = {}
+    check_bound(n, "n")
+    checked: dict[Partition, int] = {}
     for lam, m in expansion.items():
         lam = check_partition(lam)
         if not isinstance(m, int):
             raise ValueError(f"multiplicity of {lam} must be an integer, got {m!r}")
+        checked[lam] = checked.get(lam, 0) + m
+    return _specialise(checked, kind, n)
+
+
+def _specialise(expansion: dict[Partition, int], kind: str, n: int) -> dict[tuple[int, ...], int]:
+    """specialise on a known type, n >= 0, and keys that are partitions
+    with integer multiplicities (the library's callers pass Pieri supports
+    and enumerate_partitions shapes), so no key is re-checked."""
+    N = 2 * n + _N_OFFSET[kind]
+    flip = 0 if kind == "C" else 1
+    out: dict[tuple[int, ...], int] = {}
+    for lam, m in expansion.items():
         while m and len(lam) > n:
             l, h = len(lam), 2 * len(lam) - N
             beta = [p + l - i for i, p in enumerate(lam, 1)]
@@ -184,7 +195,7 @@ def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], in
     reads it through the flip).
     """
     check_bound(k, "k")
-    return specialise(
+    return _specialise(
         {lam: _sym_mult(rs.family, k, lam) for lam in enumerate_partitions(2 * k)},
         rs.kind,
         rs.rank,
@@ -236,7 +247,7 @@ def harmonic_char_finite(rs: RootSystem, k: int) -> CharExpansion:
     for j, c in euler_factor_coeffs(degrees(rs), k).items():
         for lam in enumerate_partitions(2 * (k - j)):
             stable[lam] = stable.get(lam, 0) + c * _sym_mult(rs.family, k - j, lam)
-    finite = specialise(stable, rs.kind, rs.rank)
+    finite = _specialise(stable, rs.kind, rs.rank)
     terms = {lam: QSeries.monomial(k, m) for lam, m in finite.items()}
     return CharExpansion(rs.family, terms, rank=rs.rank)
 

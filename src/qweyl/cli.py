@@ -11,7 +11,6 @@ command keeps no state between runs.
 __all__ = ["main"]
 
 import argparse
-import json
 import sys
 import time
 
@@ -21,8 +20,8 @@ from .partitions import (Partition, _partitions_in_class, check_bound, check_par
                          dominates, enumerate_partitions, weight)
 from .qkostant import _direct_table, _table, k_direct
 from .qseries import QSeries
-from .recurrence import (_finite_pieri, _k_finite, _k_limit, _morris_step, degree_bounds, k_limit,
-                         k_recurrence_finite)
+from .recurrence import (_finite_pieri, _k_finite, _k_limit, _morris_step, _shared, _shared_series,
+                         degree_bounds, k_limit, k_recurrence_finite)
 from .rootsystems import RootSystem, rho_doubled
 from .hall_littlewood import k_matrix, p_basis_matrix
 
@@ -31,7 +30,8 @@ OK, VERIFY_FAILED, USAGE_ERROR = 0, 1, 2
 # held here, so that a wrapper bound over a module attribute later does
 # not hide cache_info()
 _CACHED = (rho_doubled, _table, _sym_mult, _k_finite, _finite_pieri,
-           _k_limit, _morris_step, pieri._pieri_support, _partitions_in_class)
+           _k_limit, _morris_step, _shared_series, _shared, pieri._pieri_support,
+           _partitions_in_class)
 
 
 def table_stats() -> dict[str, dict[str, int]]:
@@ -65,6 +65,8 @@ def _result(lam, mu, series: QSeries) -> dict:
 def _emit_json(command: str, params: dict, results: list[dict], t0: float, **meta) -> str:
     """One JSON object: the header on the first line, then one line per
     result.  `meta` adds keys beside `cache_stats`."""
+    import json  # here, not at module level: text-mode runs never load it
+
     head = json.dumps(
         {
             "command": command,
@@ -274,6 +276,8 @@ _VERIFY_BOUNDS = {"max_weight": 0, "max_rank": 2, "max_k": 0, "trunc": 0}
 
 
 def cmd_verify(args) -> int:
+    import json  # as in _emit_json
+
     t0 = time.perf_counter()
     fn, defaults = _SUITES[args.suite]
     for name, low in _VERIFY_BOUNDS.items():

@@ -9,6 +9,9 @@ For mu = empty the stable recurrence is self-referential: the single term
 (s=1, r=nu_1, a=0, lambda=nu) carries coefficient q^{nu_1} K_{nu,empty},
 so it is moved to the left-hand side, producing a 1/(1-q^{nu_1})
 prefactor; every remaining term strictly decreases |lambda|+|lambda-flat|.
+
+The stable memo values are pooled: equal series and equal step terms are
+one object, so callers must not mutate a returned QSeries.
 """
 
 __all__ = [
@@ -20,7 +23,7 @@ __all__ = [
 
 from functools import cache
 
-from .branching import _check_family, specialise
+from .branching import _check_family, _specialise
 from .partitions import Partition, check_bound, check_partition, padded, weight
 from .pieri import pieri_expand
 from .qseries import QSeries
@@ -59,7 +62,7 @@ def _finite_pieri(kind: str, n: int, gamma: Partition, l: int) -> tuple[tuple[tu
     E = prod(x_i - 1/x_i), and V((l)) = ch^C(l) - ch^C(l-2), X - sigma(X)
     is read off the memoised C_n products of gamma - 1^n.
     """
-    out = specialise(pieri_expand(gamma, l), kind, n)
+    out = _specialise(pieri_expand(gamma, l), kind, n)
     if kind != "D":
         return tuple(out.items())
     out.update({diagram_flip(kind, n, lam): m for lam, m in out.items()})
@@ -113,7 +116,7 @@ def k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
 def _k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
     """k_limit on valid partitions; the recursion stays inside this body."""
     if not nu and not mu:
-        return QSeries.one(D)
+        return _shared_series(((0, 1),), D)
     mu_flat = mu[1:]
     total = QSeries.combination(
         [
@@ -125,7 +128,7 @@ def _k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
     )
     if not mu:
         total = total.div_one_minus_qm(nu[0], D)
-    return total
+    return _shared_series(tuple(total.pairs()), D)
 
 
 @cache
@@ -144,8 +147,25 @@ def _morris_step(family: str, nu: Partition, mu1: int) -> tuple[tuple[int, int, 
             if not mu1 and lam == nu:
                 continue
             assert weight(lam) + weight(lam[1:]) < measure, (nu, mu1, lam)
-            terms.append((sign * pc, shift, lam))
-    return tuple(terms)
+            terms.append(_shared((sign * pc, shift, lam)))
+    return _shared(tuple(terms))
+
+
+# The pool behind the stable memos.  Most _k_limit entries repeat one of a
+# few distinct series (a third of them are zero) and most step terms recur
+# across steps, so each distinct value is stored once.
+
+
+@cache
+def _shared_series(pairs: tuple[tuple[int, int], ...], D: int) -> QSeries:
+    """The one QSeries with these sorted (degree, coefficient) pairs, mod q^{D+1}."""
+    return QSeries(pairs, D)
+
+
+@cache
+def _shared(value: tuple) -> tuple:
+    """The first stored tuple equal to value."""
+    return value
 
 
 def degree_bounds(rs: RootSystem, nu: Partition, mu: Partition) -> tuple[int, int]:

@@ -73,14 +73,16 @@ def test_json_meta_reports_every_memo_table(capsys):
     tables = stats["tables"]
     assert set(tables) == {
         "rootsystems.rho_doubled", "qkostant._table", "branching._sym_mult", "recurrence._k_finite", "recurrence._finite_pieri",
-        "recurrence._k_limit", "recurrence._morris_step", "pieri._pieri_support",
-        "partitions._partitions_in_class",
+        "recurrence._k_limit", "recurrence._morris_step", "recurrence._shared_series",
+        "recurrence._shared", "pieri._pieri_support", "partitions._partitions_in_class",
         "lr.lr_cache",
     }
     assert all(set(t) == {"hits", "misses", "size"} for t in tables.values())
     assert tables["recurrence._k_limit"]["size"] > 0
     assert tables["pieri._pieri_support"]["size"] > 0
     assert tables["recurrence._morris_step"]["size"] > 0
+    assert tables["recurrence._shared_series"]["size"] > 0
+    assert tables["recurrence._shared"]["size"] > 0
 
 
 def test_every_memo_table_is_reported():
@@ -94,7 +96,7 @@ def test_every_memo_table_is_reported():
             for member in members:
                 if callable(member) and hasattr(member, "cache_info"):
                     memos[id(member)] = member
-    assert len(memos) == len(cli._CACHED) == 9
+    assert len(memos) == len(cli._CACHED) == 11
     assert set(memos) == {id(fn) for fn in cli._CACHED}
 
 

@@ -56,3 +56,14 @@ def test_cold_cli_run_prints_the_recurrence():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout == f"{k_recurrence_finite(RootSystem('B', 6), (2, 1), ())}\n"
+
+
+def test_cold_text_mode_run_never_loads_json():
+    # only --format json and verify print JSON, so they import it themselves
+    proc = _fresh("-X", "importtime", "-m", "qweyl.cli", "k", "--type", "B", "--rank", "6",
+                  "--lam", "2,1")
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"qweyl", "argparse"} <= loaded
+    assert "json" not in loaded, sorted(loaded)

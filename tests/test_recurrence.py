@@ -11,6 +11,7 @@ from functools import cache
 import pytest
 
 from qweyl.branching import harmonic_coeff_stable, specialise
+from qweyl.hall_littlewood import k_matrix
 from qweyl.partitions import dominates, enumerate_partitions, padded, weight
 from qweyl.pieri import _pieri_support, pieri_expand
 from qweyl.qkostant import _table, k_direct, weight_multiplicity
@@ -385,6 +386,40 @@ def test_shared_step_does_not_depend_on_call_order():
                     assert k_limit(family, nu, mu, D) == want, (order, family, nu, mu, D)
         sizes.append(_morris_step.cache_info().currsize)
     assert sizes[0] == sizes[1] > 0
+
+
+def _by_value(values, key) -> dict:
+    """{key(value): set of the ids of the values with that key}."""
+    groups: dict = {}
+    for value in values:
+        groups.setdefault(key(value), set()).add(id(value))
+    return groups
+
+
+def test_equal_limit_series_are_one_object():
+    km = k_matrix("so", 8, 4)
+    groups = _by_value(km.entries.values(), lambda s: (tuple(s.pairs()), s.trunc))
+    # the window repeats series, so the pool has something to share
+    assert len(groups) < len(km.entries)
+    assert all(len(ids) == 1 for ids in groups.values())
+    distinct = {id(s) for s in km.entries.values()}
+    assert len(distinct) == len(groups)
+    # the base case and k_limit go through the same pool
+    assert k_limit("so", (), (), 4) is k_limit("so", (1,), (1,), 4)
+
+
+def test_equal_morris_terms_are_one_object():
+    steps = [_morris_step(family, nu, mu1)
+             for family in ("so", "sp")
+             for nu in enumerate_partitions(8)
+             for mu1 in range(4)]
+    terms = [term for step in steps for term in step]
+    term_groups = _by_value(terms, lambda t: t)
+    assert len(term_groups) < len(terms)
+    assert all(len(ids) == 1 for ids in term_groups.values())
+    step_groups = _by_value(steps, lambda st: st)
+    assert len(step_groups) < len(steps)
+    assert all(len(ids) == 1 for ids in step_groups.values())
 
 
 def test_degree_bounds_examples():
