@@ -233,8 +233,13 @@ def harmonic_coeff_stable(family: str, k: int, lam: Partition) -> int:
     harmonics: prod_{i>=1}(1 - q^{2i}) * char_q(S(g))."""
     _check_family(family, k)
     lam = check_partition(lam)
-    eps = euler_factor_coeffs([2 * i for i in range(1, k // 2 + 1)], k)
-    return sum(c * _sym_mult(family, k - j, lam) for j, c in eps.items())
+    return sum(c * _sym_mult(family, k - j, lam) for j, c in _stable_euler_factor(k))
+
+
+@cache
+def _stable_euler_factor(k: int) -> tuple[tuple[int, int], ...]:
+    """The (degree, coefficient) pairs of prod_{i>=1} (1 - q^{2i}) up to q^k."""
+    return tuple(euler_factor_coeffs([2 * i for i in range(1, k // 2 + 1)], k).items())
 
 
 def harmonic_char_finite(rs: RootSystem, k: int) -> CharExpansion:

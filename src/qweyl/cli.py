@@ -15,7 +15,8 @@ import sys
 import time
 
 from . import __version__, lr, pieri
-from .branching import _sym_mult, harmonic_char_finite, harmonic_coeff_stable
+from .branching import (_stable_euler_factor, _sym_mult, harmonic_char_finite,
+                        harmonic_coeff_stable)
 from .partitions import (Partition, _partitions_in_class, check_bound, check_partition, conjugate,
                          dominates, enumerate_partitions, weight)
 from .qkostant import _direct_table, _table, k_direct
@@ -29,7 +30,7 @@ OK, VERIFY_FAILED, USAGE_ERROR = 0, 1, 2
 
 # held here, so that a wrapper bound over a module attribute later does
 # not hide cache_info()
-_CACHED = (rho_doubled, _table, _sym_mult, _k_finite, _finite_pieri,
+_CACHED = (rho_doubled, _table, _sym_mult, _stable_euler_factor, _k_finite, _finite_pieri,
            _k_limit, _morris_step, _shared_series, _shared, pieri._pieri_support,
            _partitions_in_class)
 
@@ -62,9 +63,10 @@ def _result(lam, mu, series: QSeries) -> dict:
     return {"lambda": list(lam), "mu": list(mu), "coeffs": series.pairs()}
 
 
-def _emit_json(command: str, params: dict, results: list[dict], t0: float, **meta) -> str:
-    """One JSON object: the header on the first line, then one line per
-    result.  `meta` adds keys beside `cache_stats`."""
+def _emit_json(command: str, params: dict, results, t0: float, **meta) -> None:
+    """Print one JSON object: the header on the first line, then one line
+    per result as the iterable `results` yields it, so no list of results
+    and no joined string is built.  `meta` adds keys beside `cache_stats`."""
     import json  # here, not at module level: text-mode runs never load it
 
     head = json.dumps(
@@ -80,9 +82,14 @@ def _emit_json(command: str, params: dict, results: list[dict], t0: float, **met
         },
         sort_keys=True,
     )
-    lines = ",\n".join(json.dumps(r, sort_keys=True) for r in results)
+    write = sys.stdout.write
     # "results" sorts after every header key
-    return f'{head[:-1]}, "results": [\n{lines}\n]}}'
+    write(f'{head[:-1]}, "results": [\n')
+    sep = ""
+    for r in results:
+        write(sep + json.dumps(r, sort_keys=True))
+        sep = ",\n"
+    write("\n]}\n")
 
 
 # -- k ------------------------------------------------------------------
@@ -117,7 +124,7 @@ def cmd_k(args) -> int:
         params = {"type": args.type, "rank": args.rank, "method": method}
     if args.format == "json":
         params.update({"lambda": list(args.lam), "mu": list(args.mu)})
-        print(_emit_json("k", params, [_result(args.lam, args.mu, series)], t0, **meta))
+        _emit_json("k", params, [_result(args.lam, args.mu, series)], t0, **meta)
     else:
         print(series)
     return OK
@@ -131,8 +138,7 @@ def cmd_table(args) -> int:
     rows = sorted(k_matrix(args.family, args.max_weight, args.trunc).entries.items())
     params = {"family": args.family, "max_weight": args.max_weight, "trunc": args.trunc}
     if args.format == "json":
-        results = [_result(lam, mu, series) for (lam, mu), series in rows]
-        print(_emit_json("table", params, results, t0))
+        _emit_json("table", params, (_result(lam, mu, series) for (lam, mu), series in rows), t0)
     elif args.format == "csv":
         print("lambda,mu,series")
         for (lam, mu), series in rows:

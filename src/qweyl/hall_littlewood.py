@@ -129,17 +129,18 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
     """
     km = k_matrix(family, weight_bound, D)
     index = km.index
-    # cols[kappa]: (lam, (degree, coefficient) pairs of K[lam, kappa])
-    cols: dict[Partition, list] = {}
-    for (lam, kappa), val in km.entries.items():
-        if lam != kappa:
-            cols.setdefault(kappa, []).append((lam, val.coeffs.items()))
-    inv: dict[tuple[Partition, Partition], QSeries] = {}
     # K[lam, kappa] != 0 needs kappa <= lam in (weight, dominance); solve
     # K . inv = I row by row along a linear extension of that order:
     # inv[lam, mu] = delta - sum_{kappa < lam} K[lam,kappa] inv[kappa,mu]
     solve_order = sorted(index, key=lambda p: (weight(p), p))
     position = {p: i for i, p in enumerate(solve_order)}
+    # cols[position of kappa]: (position of lam, (degree, coefficient)
+    # pairs of K[lam, kappa])
+    cols: dict[int, list] = {}
+    for (lam, kappa), val in km.entries.items():
+        if lam != kappa:
+            cols.setdefault(position[kappa], []).append((position[lam], val.coeffs.items()))
+    inv: dict[tuple[Partition, Partition], QSeries] = {}
     for mu in index:
         # pending[i]: the coefficients of inv[solve_order[i], mu] so far;
         # a row is pushed only by an earlier row, so every term it needs
@@ -153,8 +154,7 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
                 continue
             kappa = solve_order[i]
             inv[(kappa, mu)] = QSeries(terms, D)
-            for lam, kval in cols.get(kappa, ()):
-                j = position[lam]
+            for j, kval in cols.get(i, ()):
                 acc = pending.get(j)
                 if acc is None:
                     acc = pending[j] = [0] * (D + 1)

@@ -24,8 +24,11 @@ __all__ = [
 
 from collections.abc import Iterator
 from functools import cache
+from operator import ge, le
 
 Partition = tuple[int, ...]
+# the part types check_partition's fast path accepts as they are
+_INT = {int}
 
 
 def integral_parts(parts) -> tuple[int, ...]:
@@ -45,6 +48,10 @@ def check_partition(parts) -> Partition:
     """Normalize an iterable of parts to a valid partition tuple: trailing
     zeros are dropped, an interior zero or a non-integral part is an
     error."""
+    # fast path, in C: a tuple of ints, weakly decreasing, last part > 0
+    if type(parts) is tuple and _INT.issuperset(map(type, parts)) and (
+            not parts or (parts[-1] > 0 and all(map(ge, parts, parts[1:])))):
+        return parts
     p = integral_parts(parts)
     while p and p[-1] == 0:
         p = p[:-1]
@@ -83,9 +90,7 @@ def conjugate(p: Partition) -> Partition:
 
 def contains(outer: Partition, inner: Partition) -> bool:
     """Diagram containment inner ⊆ outer."""
-    if len(inner) > len(outer):
-        return False
-    return all(a <= b for a, b in zip(inner, outer))
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 def is_horizontal_strip(inner: Partition, outer: Partition) -> bool:

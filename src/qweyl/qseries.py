@@ -67,6 +67,15 @@ class QSeries:
                 cc[d] = cc.get(d, 0) + factor * c
         return QSeries(cc, t)
 
+    @staticmethod
+    def _trusted(pairs, trunc: int | None) -> "QSeries":
+        """The series of (degree, coefficient) pairs read off a QSeries at
+        bound trunc: the constructor's checks already hold, so none runs."""
+        series = object.__new__(QSeries)
+        series.coeffs = dict(pairs)
+        series.trunc = trunc
+        return series
+
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -10,6 +10,16 @@ For mu = empty the stable recurrence is self-referential: the single term
 so it is moved to the left-hand side, producing a 1/(1-q^{nu_1})
 prefactor; every remaining term strictly decreases |lambda|+|lambda-flat|.
 
+A stable step skips the children that are provably zero modulo q^{D+1}.
+Two facts about the stable K_{lam,mu}(q) allow it: it is 0 when
+|lam| < |mu|, and its lowest degree is at least (|lam| - |mu|)/2 (the
+degree bound of Lusztig 1983, carried to the universal characters by
+Koike-Terada 1987; the K-matrix's support and the range of
+hall_littlewood.qprime_expansion rest on the same two facts).  So the
+term q^shift K_{lam, mu-flat} is skipped when |lam| < |mu-flat| or
+2 shift + |lam| - |mu-flat| > 2D; a skipped child is never looked up or
+memoised.
+
 The stable memo values are pooled: equal series and equal step terms are
 one object, so callers must not mutate a returned QSeries.
 """
@@ -118,11 +128,14 @@ def _k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
     if not nu and not mu:
         return _shared_series(((0, 1),), D)
     mu_flat = mu[1:]
+    low = weight(mu_flat)
+    # the pruning rule of the module docstring; it drops every shift > D too
+    high = 2 * D + low
     total = QSeries.combination(
         [
             (factor, shift, _k_limit(family, lam, mu_flat, D))
-            for factor, shift, lam in _morris_step(family, nu, mu[0] if mu else 0)
-            if shift <= D
+            for factor, shift, lam, size in _morris_step(family, nu, mu[0] if mu else 0)
+            if low <= size <= high - 2 * shift
         ],
         D,
     )
@@ -132,11 +145,11 @@ def _k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
 
 
 @cache
-def _morris_step(family: str, nu: Partition, mu1: int) -> tuple[tuple[int, int, Partition], ...]:
-    """The terms (factor, shift, lam) of the stable step for K_{nu,mu}, at
-    every shift: K_{nu,mu} = sum factor q^shift K_{lam, mu-flat}.  The step
-    depends on mu only through mu_1 (0 for mu = empty), so one table serves
-    every mu with that first part and every truncation D."""
+def _morris_step(family: str, nu: Partition, mu1: int) -> tuple[tuple[int, int, Partition, int], ...]:
+    """The terms (factor, shift, lam, |lam|) of the stable step for
+    K_{nu,mu}, at every shift: K_{nu,mu} = sum factor q^shift K_{lam, mu-flat}.
+    The step depends on mu only through mu_1 (0 for mu = empty), so one
+    table serves every mu with that first part and every truncation D."""
     measure = weight(nu) + weight(nu[1:])
     terms = []
     for sign, shift, gamma, r in _step(family == "sp", nu, mu1):
@@ -146,8 +159,9 @@ def _morris_step(family: str, nu: Partition, mu1: int) -> tuple[tuple[int, int, 
             # first part nu_1 + 1 does not fit inside nu
             if not mu1 and lam == nu:
                 continue
-            assert weight(lam) + weight(lam[1:]) < measure, (nu, mu1, lam)
-            terms.append(_shared((sign * pc, shift, lam)))
+            size = weight(lam)
+            assert size + weight(lam[1:]) < measure, (nu, mu1, lam)
+            terms.append(_shared((sign * pc, shift, lam, size)))
     return _shared(tuple(terms))
 
 
@@ -158,8 +172,9 @@ def _morris_step(family: str, nu: Partition, mu1: int) -> tuple[tuple[int, int, 
 
 @cache
 def _shared_series(pairs: tuple[tuple[int, int], ...], D: int) -> QSeries:
-    """The one QSeries with these sorted (degree, coefficient) pairs, mod q^{D+1}."""
-    return QSeries(pairs, D)
+    """The one QSeries with these sorted (degree, coefficient) pairs, mod
+    q^{D+1}; the pairs come from a built series, so they are not re-checked."""
+    return QSeries._trusted(pairs, D)
 
 
 @cache

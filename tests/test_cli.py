@@ -72,7 +72,8 @@ def test_json_meta_reports_every_memo_table(capsys):
     assert set(stats) == {"tables"}
     tables = stats["tables"]
     assert set(tables) == {
-        "rootsystems.rho_doubled", "qkostant._table", "branching._sym_mult", "recurrence._k_finite", "recurrence._finite_pieri",
+        "rootsystems.rho_doubled", "qkostant._table", "branching._sym_mult",
+        "branching._stable_euler_factor", "recurrence._k_finite", "recurrence._finite_pieri",
         "recurrence._k_limit", "recurrence._morris_step", "recurrence._shared_series",
         "recurrence._shared", "pieri._pieri_support", "partitions._partitions_in_class",
         "lr.lr_cache",
@@ -96,7 +97,7 @@ def test_every_memo_table_is_reported():
             for member in members:
                 if callable(member) and hasattr(member, "cache_info"):
                     memos[id(member)] = member
-    assert len(memos) == len(cli._CACHED) == 11
+    assert len(memos) == len(cli._CACHED) == 12
     assert set(memos) == {id(fn) for fn in cli._CACHED}
 
 
@@ -400,6 +401,27 @@ def test_json_puts_each_result_on_its_own_line(capsys):
     assert len(doc["results"]) > 10
     assert len(lines) == len(doc["results"]) + 2
     assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == doc["results"]
+
+
+def _joined_json(doc: dict) -> str:
+    """The document as the CLI printed it when it joined all results into
+    one string before printing."""
+    head = json.dumps({key: doc[key] for key in doc if key != "results"}, sort_keys=True)
+    lines = ",\n".join(json.dumps(r, sort_keys=True) for r in doc["results"])
+    return f'{head[:-1]}, "results": [\n{lines}\n]}}' + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--family", "sp", "--max-weight", "6", "--trunc", "4"),
+    ("k", "--family", "so", "--lam", "3,1", "--mu", "2", "--trunc", "5", "--format", "json"),
+    ("k", "--type", "D", "--rank", "4", "--lam", "2,1", "--format", "json"),
+])
+def test_streamed_json_is_byte_identical(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]
+    assert out == _joined_json(doc)
 
 
 def test_cache_round_trip(tmp_path):

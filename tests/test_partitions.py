@@ -1,6 +1,6 @@
 import re
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import pytest
 
@@ -11,6 +11,7 @@ from qweyl.partitions import (
     contains,
     dominates,
     enumerate_partitions,
+    integral_parts,
     is_horizontal_strip,
     padded,
     partition_sort_key,
@@ -154,3 +155,59 @@ def test_enumerate_classes_are_conjugate():
 def test_contains():
     assert contains((3, 2), (2, 2))
     assert not contains((3,), (1, 1))
+
+
+# -- the C-level predicates against the loops they replaced ---------------
+
+
+def _contains_loop(outer, inner):
+    if len(inner) > len(outer):
+        return False
+    return all(a <= b for a, b in zip(inner, outer))
+
+
+def _check_partition_loop(parts):
+    p = integral_parts(parts)
+    while p and p[-1] == 0:
+        p = p[:-1]
+    for a, b in zip(p, p[1:]):
+        if a < b:
+            raise ValueError(f"parts not weakly decreasing: {p}")
+    if p and p[-1] < 0:
+        raise ValueError(f"negative part in {p}")
+    return p
+
+
+def _outcome(fn, *args):
+    """The result with the type of each part (True == 1), or the
+    exception's type and message."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # any error: its type and message are compared
+        return type(exc), str(exc)
+    return result, tuple(map(type, result)) if isinstance(result, tuple) else type(result)
+
+
+# ints (negative and zero too), bools, integral and non-integral floats
+_parts = st.lists(
+    st.one_of(st.integers(-2, 6), st.booleans(), st.integers(0, 6).map(float),
+              st.sampled_from([0.5, 1.5, 2.5, -0.5])),
+    max_size=6,
+)
+# half the draws weakly decreasing, with trailing and interior zeros
+_shapes = st.one_of(_parts, _parts.map(lambda xs: sorted(xs, reverse=True)))
+
+
+def _generator(parts):
+    return (x for x in parts)
+
+
+_containers = st.sampled_from([tuple, list, _generator])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_shapes, _shapes, _containers, _containers)
+def test_predicates_match_their_loops(a, b, wrap_a, wrap_b):
+    # a fresh container per call, since a generator is consumed
+    assert _outcome(check_partition, wrap_a(a)) == _outcome(_check_partition_loop, wrap_a(a))
+    assert _outcome(contains, wrap_a(a), wrap_b(b)) == _outcome(_contains_loop, wrap_a(a), wrap_b(b))

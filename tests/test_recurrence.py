@@ -10,6 +10,7 @@ from functools import cache
 
 import pytest
 
+from qweyl import hall_littlewood, recurrence
 from qweyl.branching import harmonic_coeff_stable, specialise
 from qweyl.hall_littlewood import k_matrix
 from qweyl.partitions import dominates, enumerate_partitions, padded, weight
@@ -386,6 +387,45 @@ def test_shared_step_does_not_depend_on_call_order():
                     assert k_limit(family, nu, mu, D) == want, (order, family, nu, mu, D)
         sizes.append(_morris_step.cache_info().currsize)
     assert sizes[0] == sizes[1] > 0
+
+
+def test_pruned_children_match_unpruned_recurrence():
+    """k_limit skips the Morris children that are provably zero mod
+    q^{D+1}; on every pair of shapes up to weight 7, dominated or not, of
+    either parity and with |nu| < |mu| too, it equals the recurrence that
+    sums every child, and the unpruned values obey both facts the pruning
+    rests on."""
+    shapes = enumerate_partitions(7)
+    nonzero = 0
+    for family in ("so", "sp"):
+        for D in (0, 1, 2, 4, 6):
+            for nu in shapes:
+                for mu in shapes:
+                    want = _k_limit_unshared(family, nu, mu, D)
+                    assert k_limit(family, nu, mu, D) == want, (family, nu, mu, D)
+                    gap = weight(nu) - weight(mu)
+                    # K is 0 for |nu| < |mu|, and starts at degree >= gap / 2
+                    assert gap >= 0 or not want, (family, nu, mu, D)
+                    assert all(2 * d >= gap for d in want.coeffs), (family, nu, mu, D)
+                    nonzero += bool(want)
+    assert nonzero > 1000
+
+
+def test_pruned_children_are_never_memoised(monkeypatch):
+    """A child with |lam| < |mu-flat| is neither looked up nor stored."""
+    _k_limit.cache_clear()
+    keys = set()
+
+    def recorded(family, nu, mu, D):
+        keys.add((nu, mu))
+        return _k_limit(family, nu, mu, D)
+
+    # the recursion and k_matrix both reach _k_limit through a module name
+    monkeypatch.setattr(recurrence, "_k_limit", recorded)
+    monkeypatch.setattr(hall_littlewood, "_k_limit", recorded)
+    k_matrix("so", 8, 4)
+    assert len(keys) == _k_limit.cache_info().currsize > 0
+    assert all(weight(nu) >= weight(mu) for nu, mu in keys)
 
 
 def _by_value(values, key) -> dict:
