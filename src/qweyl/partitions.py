@@ -27,8 +27,6 @@ from functools import cache
 from operator import ge, le
 
 Partition = tuple[int, ...]
-# the part types check_partition's fast path accepts as they are
-_INT = {int}
 
 
 def integral_parts(parts) -> tuple[int, ...]:
@@ -48,16 +46,11 @@ def check_partition(parts) -> Partition:
     """Normalize an iterable of parts to a valid partition tuple: trailing
     zeros are dropped, an interior zero or a non-integral part is an
     error."""
-    # fast path, in C: a tuple of ints, weakly decreasing, last part > 0
-    if type(parts) is tuple and _INT.issuperset(map(type, parts)) and (
-            not parts or (parts[-1] > 0 and all(map(ge, parts, parts[1:])))):
-        return parts
     p = integral_parts(parts)
     while p and p[-1] == 0:
         p = p[:-1]
-    for a, b in zip(p, p[1:]):
-        if a < b:
-            raise ValueError(f"parts not weakly decreasing: {p}")
+    if not all(map(ge, p, p[1:])):
+        raise ValueError(f"parts not weakly decreasing: {p}")
     if p and p[-1] < 0:
         raise ValueError(f"negative part in {p}")
     return p

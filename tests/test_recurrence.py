@@ -361,14 +361,24 @@ def _dominated_pairs(max_weight):
 
 
 def test_shared_step_matches_unshared_recurrence():
-    pairs = _dominated_pairs(8)
+    """k_limit, with its shared step and its pruned children, equals the
+    recurrence that builds its step per entry and sums every child, on
+    every pair of shapes up to weight 8: dominated or not, of either
+    parity and with |nu| < |mu| too.  The unshared values obey both facts
+    the pruning rests on."""
+    shapes = enumerate_partitions(8)
     nonzero = 0
     for family in ("so", "sp"):
-        for D in (0, 3, 6):
-            for nu, mu in pairs:
-                want = _k_limit_unshared(family, nu, mu, D)
-                assert k_limit(family, nu, mu, D) == want, (family, nu, mu, D)
-                nonzero += bool(want)
+        for D in (0, 1, 2, 3, 4, 6):
+            for nu in shapes:
+                for mu in shapes:
+                    want = _k_limit_unshared(family, nu, mu, D)
+                    assert k_limit(family, nu, mu, D) == want, (family, nu, mu, D)
+                    gap = weight(nu) - weight(mu)
+                    # K is 0 for |nu| < |mu|, and starts at degree >= gap / 2
+                    assert gap >= 0 or not want, (family, nu, mu, D)
+                    assert all(2 * d >= gap for d in want.coeffs), (family, nu, mu, D)
+                    nonzero += bool(want)
     assert nonzero > 1000
 
 
@@ -387,28 +397,6 @@ def test_shared_step_does_not_depend_on_call_order():
                     assert k_limit(family, nu, mu, D) == want, (order, family, nu, mu, D)
         sizes.append(_morris_step.cache_info().currsize)
     assert sizes[0] == sizes[1] > 0
-
-
-def test_pruned_children_match_unpruned_recurrence():
-    """k_limit skips the Morris children that are provably zero mod
-    q^{D+1}; on every pair of shapes up to weight 7, dominated or not, of
-    either parity and with |nu| < |mu| too, it equals the recurrence that
-    sums every child, and the unpruned values obey both facts the pruning
-    rests on."""
-    shapes = enumerate_partitions(7)
-    nonzero = 0
-    for family in ("so", "sp"):
-        for D in (0, 1, 2, 4, 6):
-            for nu in shapes:
-                for mu in shapes:
-                    want = _k_limit_unshared(family, nu, mu, D)
-                    assert k_limit(family, nu, mu, D) == want, (family, nu, mu, D)
-                    gap = weight(nu) - weight(mu)
-                    # K is 0 for |nu| < |mu|, and starts at degree >= gap / 2
-                    assert gap >= 0 or not want, (family, nu, mu, D)
-                    assert all(2 * d >= gap for d in want.coeffs), (family, nu, mu, D)
-                    nonzero += bool(want)
-    assert nonzero > 1000
 
 
 def test_pruned_children_are_never_memoised(monkeypatch):
