@@ -21,7 +21,7 @@ from .partitions import (Partition, _partitions_in_class, check_bound, check_par
                          dominates, enumerate_partitions, weight)
 from .qkostant import _direct_table, _table, k_direct
 from .qseries import QSeries
-from .recurrence import (_finite_pieri, _k_finite, _k_limit, _morris_step, _shared, _shared_series,
+from .recurrence import (_finite_pieri, _k_finite, _k_limit, _morris_step, _pooled, _shared,
                          degree_bounds, k_limit, k_recurrence_finite)
 from .rootsystems import RootSystem, rho_doubled
 from .hall_littlewood import k_matrix, p_basis_matrix
@@ -31,7 +31,7 @@ OK, VERIFY_FAILED, USAGE_ERROR = 0, 1, 2
 # held here, so that a wrapper bound over a module attribute later does
 # not hide cache_info()
 _CACHED = (rho_doubled, _table, _sym_mult, _stable_euler_factor, _k_finite, _finite_pieri,
-           _k_limit, _morris_step, _shared_series, _shared, pieri._pieri_support,
+           _k_limit, _morris_step, _pooled, _shared, pieri._pieri_support,
            _partitions_in_class)
 
 

@@ -30,7 +30,7 @@ from .partitions import (
 )
 from .qseries import QSeries
 from .records import Record
-from .recurrence import _k_limit
+from .recurrence import _fit, _k_limit, _pooled
 
 
 class TruncatedKMatrix(Record):
@@ -86,10 +86,12 @@ def qprime_expansion(family: str, mu: Partition, D: int) -> CharExpansion:
     mu = check_partition(mu)
     check_bound(D, "D")
     terms: dict[Partition, QSeries] = {}
-    for lam in enumerate_partitions(weight(mu) + 2 * D):
-        series = _k_limit(family, lam, mu, D)
-        if series:
-            terms[lam] = series
+    # K_{lambda,mu} = 0 for |lambda| < |mu|
+    for size in range(weight(mu), weight(mu) + 2 * D + 1):
+        for lam in enumerate_partitions(size, exact_weight=size):
+            packed, _, series = _k_limit(family, lam, mu, D)
+            if packed:
+                terms[lam] = series
     return CharExpansion(family, terms)
 
 
@@ -108,8 +110,8 @@ def k_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
                 break
             if (wl - wm) % 2 or not dominates(lam, mu):
                 continue
-            series = _k_limit(family, lam, mu, D)
-            if series:
+            packed, _, series = _k_limit(family, lam, mu, D)
+            if packed:
                 entries[(lam, mu)] = series
     return TruncatedKMatrix(family, weight_bound, D, index, entries)
 
@@ -123,9 +125,12 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
 
     Each column mu is solved by scattering: once inv[kappa, mu] is final
     and nonzero, K[lam, kappa] * inv[kappa, mu] is subtracted from the
-    pending coefficient list of every row lam with K[lam, kappa] != 0, so
-    rows that are provably zero are never visited.  Entries are inserted
-    in the same order as by a full back substitution over the window.
+    pending value of every row lam with K[lam, kappa] != 0, so rows that
+    are provably zero are never visited.  Entries are inserted in the same
+    order as by a full back substitution over the window.  The scatter
+    runs on the packed values of the stable memo: one integer product per
+    (row, column), cut mod q^{D+1} once a row is final, under the
+    coefficient bound that recurrence._fit proves.
     """
     km = k_matrix(family, weight_bound, D)
     index = km.index
@@ -134,34 +139,34 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
     # inv[lam, mu] = delta - sum_{kappa < lam} K[lam,kappa] inv[kappa,mu]
     solve_order = sorted(index, key=lambda p: (weight(p), p))
     position = {p: i for i, p in enumerate(solve_order)}
-    # cols[position of kappa]: (position of lam, (degree, coefficient)
-    # pairs of K[lam, kappa])
+    # cols[position of kappa]: (position of lam, packed K[lam, kappa],
+    # sum of its |coefficients|), read from the memo k_matrix filled
     cols: dict[int, list] = {}
-    for (lam, kappa), val in km.entries.items():
+    for lam, kappa in km.entries:
         if lam != kappa:
-            cols.setdefault(position[kappa], []).append((position[lam], val.coeffs.items()))
+            packed, _, series = _k_limit(family, lam, kappa, D)
+            cols.setdefault(position[kappa], []).append(
+                (position[lam], packed, sum(map(abs, series.coeffs.values()))))
     inv: dict[tuple[Partition, Partition], QSeries] = {}
     for mu in index:
-        # pending[i]: the coefficients of inv[solve_order[i], mu] so far;
-        # a row is pushed only by an earlier row, so every term it needs
-        # has been scattered into it when it is popped
-        pending = {position[mu]: [1] + [0] * D}
-        todo = list(pending)
+        # pending[i]: [packed inv[solve_order[i], mu] so far, bound on its
+        # coefficients]; a row is pushed only by an earlier row, so every
+        # term it needs has been scattered into it when it is popped
+        start = position[mu]
+        pending = {start: [1, 1]}
+        todo = [start]
         while todo:
             i = heappop(todo)
-            terms = [(e, c) for e, c in enumerate(pending.pop(i)) if c]
-            if not terms:
+            packed, top, series = _pooled(_fit(*pending.pop(i), D), D)
+            if not packed:
                 continue
-            kappa = solve_order[i]
-            inv[(kappa, mu)] = QSeries(terms, D)
-            for j, kval in cols.get(i, ()):
+            inv[(solve_order[i], mu)] = series
+            for j, kval, l1 in cols.get(i, ()):
                 acc = pending.get(j)
                 if acc is None:
-                    acc = pending[j] = [0] * (D + 1)
+                    pending[j] = [-kval * packed, l1 * top]
                     heappush(todo, j)
-                for d, c in kval:
-                    for e, v in terms:
-                        if d + e > D:
-                            break
-                        acc[d + e] -= c * v
+                else:
+                    acc[0] -= kval * packed
+                    acc[1] += l1 * top
     return TruncatedKMatrix(family, weight_bound, D, index, inv)

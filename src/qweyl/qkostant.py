@@ -9,7 +9,8 @@ n - 1 in the same table, the rank-lowering that also drives the
 recurrence engine.
 A table holds each P_q(beta) as one packed integer, coefficient k in
 bits [k w, (k + 1) w): the Kronecker substitution q -> 2^w, under which
-a sum of polynomials is one integer addition.  `pq_width` picks a slot
+a sum of polynomials is one integer addition (qweyl.qseries holds the
+packing helpers the stable engine shares).  `pq_width` picks a slot
 width w that no coefficient reaches, so the packing is exact.
 
 K_{lambda,mu}(q) = sum over the Weyl group of sign(w) * P_q(w o lambda - mu).
@@ -33,7 +34,7 @@ from itertools import accumulate
 from math import comb
 
 from .partitions import Partition, integral_parts, padded
-from .qseries import QSeries
+from .qseries import QSeries, _unpack
 from .rootsystems import RootSystem, check_dominant, dot_action, weyl_iter
 
 
@@ -68,20 +69,6 @@ def pq_width(rs: RootSystem, height: int) -> int:
     while width < bits:
         width *= 2
     return width
-
-
-def _unpack(packed: int, width: int) -> dict[int, int]:
-    """{k: slot k} of a packed polynomial, nonzero slots only."""
-    mask = (1 << width) - 1
-    out = {}
-    k = 0
-    while packed:
-        c = packed & mask
-        if c:
-            out[k] = c
-        packed >>= width
-        k += 1
-    return out
 
 
 def _rank_one(kind: str, b: int, width: int) -> int:

@@ -7,6 +7,14 @@ bound D, an integer >= 0.  With D set, the series is only known modulo
 q^(D+1); arithmetic between two truncated series truncates at the smaller
 bound.  Without D the series is an exact polynomial.  That rule lives in
 `QSeries.combination` alone: every arithmetic operator is one call of it.
+
+The module also holds the Kronecker packing that the P_q table and the
+stable engine share: a polynomial sum c_d q^d is the integer
+sum c_d 2^(d w), slot d of width w bits holding c_d (the substitution
+q -> 2^w; D. Harvey, J. Symbolic Comput. 44 (2009)).  Integer addition
+and multiplication of packed values are exact whatever the
+coefficients; only reading a slot back needs each coefficient to fit in
+its slot, which every caller proves for its width.
 """
 
 __all__ = ["QSeries"]
@@ -51,26 +59,44 @@ class QSeries:
         """sum of factor * q^shift * series over (factor, shift, series) triples.
 
         Truncates at the smallest of `trunc` and the series' bounds, like a
-        fold of shift, scale and + would, but builds a single QSeries.
+        fold of shift, scale and + would, but builds a single QSeries.  The
+        checks of the constructor run once per term, not per coefficient:
+        the series' own pairs already passed them.
         """
+        # the rule of partitions.check_bound, inlined: this is a hot path
+        if trunc is not None and not (isinstance(trunc, int) and trunc >= 0):
+            raise ValueError(f"truncation bound must be an integer >= 0, got {trunc!r}")
         t = trunc
+        lowest = 0
         cc: dict[int, int] = {}
         for factor, shift, series in terms:
+            # exact integer arithmetic: no float or fraction gets in
+            if not (isinstance(factor, int) and isinstance(shift, int)):
+                raise ValueError(f"factor and shift must be integers, got {factor!r}, {shift!r}")
+            if shift < lowest:
+                lowest = shift
             st = series.trunc
             if st is not None and (t is None or st < t):
                 t = st
             for d, c in series.coeffs.items():
                 d += shift
-                # the bound only shrinks, so the constructor would drop d
+                # the bound only shrinks, so a later filter would drop d
                 if t is not None and d > t:
                     continue
                 cc[d] = cc.get(d, 0) + factor * c
-        return QSeries(cc, t)
+        out = object.__new__(QSeries)
+        # the bound may have shrunk after a term below the old one was added
+        out.coeffs = {d: c for d, c in cc.items() if c and (t is None or d <= t)}
+        out.trunc = t
+        if lowest < 0 and any(d < 0 for d in out.coeffs):
+            raise ValueError("negative degree")
+        return out
 
     @staticmethod
     def _trusted(pairs, trunc: int | None) -> "QSeries":
-        """The series of (degree, coefficient) pairs read off a QSeries at
-        bound trunc: the constructor's checks already hold, so none runs."""
+        """The series of (degree, coefficient) pairs that already pass the
+        constructor's checks at bound trunc (distinct integer degrees in
+        [0, trunc], nonzero integer coefficients), so none runs."""
         series = object.__new__(QSeries)
         series.coeffs = dict(pairs)
         series.trunc = trunc
@@ -176,3 +202,62 @@ class QSeries:
     def __repr__(self) -> str:
         t = "" if self.trunc is None else f", trunc={self.trunc}"
         return f"QSeries({self.coeffs!r}{t})"
+
+
+# -- Kronecker packing ------------------------------------------------
+
+
+def _pack(pairs, width: int) -> int:
+    """The packed integer of (degree, coefficient) pairs, slots of `width`
+    bits; exact for coefficients of any sign and size."""
+    return sum(c << d * width for d, c in pairs)
+
+
+def _unpack(packed: int, width: int) -> dict[int, int]:
+    """{k: slot k} of a packed polynomial whose coefficients are all in
+    [0, 2^width), nonzero slots only."""
+    mask = (1 << width) - 1
+    out = {}
+    k = 0
+    while packed:
+        c = packed & mask
+        if c:
+            out[k] = c
+        packed >>= width
+        k += 1
+    return out
+
+
+def _low_slots(packed: int, width: int, slots: int) -> int:
+    """The packed polynomial cut to its slots 0 .. slots-1 (mod q^slots),
+    read as a balanced residue of packed mod 2^(width slots).
+
+    Exact when each coefficient c_d of those slots has |c_d| < 2^(width-1),
+    whatever the higher slots hold: packed minus L = sum_{d < slots} c_d
+    2^(d width) is a multiple of 2^(width slots), and |L| is at most
+    (2^(width-1) - 1)(2^(width slots) - 1)/(2^width - 1) < 2^(width slots - 1),
+    so L is the one residue in [-2^(width slots - 1), 2^(width slots - 1)).
+    """
+    top = width * slots
+    low = packed & ((1 << top) - 1)
+    return low - (1 << top) if low >> (top - 1) else low
+
+
+def _unpack_signed(packed: int, width: int) -> list[tuple[int, int]]:
+    """Sorted (k, slot k) pairs of a packed polynomial whose coefficients
+    all have |c| < 2^(width-1), nonzero slots only: the balanced digits
+    of packed in base 2^width, each in [-2^(width-1), 2^(width-1))."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    out = []
+    k = 0
+    while packed:
+        c = packed & mask
+        if c >= half:
+            c -= 1 << width
+        if c:
+            out.append((k, c))
+        # exact: packed - c is a multiple of 2^width
+        packed = (packed - c) >> width
+        k += 1
+    return out

@@ -20,8 +20,13 @@ term q^shift K_{lam, mu-flat} is skipped when |lam| < |mu-flat| or
 2 shift + |lam| - |mu-flat| > 2D; a skipped child is never looked up or
 memoised.
 
-The stable memo values are pooled: equal series and equal step terms are
-one object, so callers must not mutate a returned QSeries.
+The stable recurrence sums packed integers, the Kronecker packing of
+qweyl.qseries with slots of _WIDTH bits: a step adds
+factor * child << (w shift), and the cut mod q^{D+1} is a mask read as a
+balanced residue (`_fit` proves when the width suffices).  The memo values
+are pooled: each distinct value is decoded into one QSeries once
+(`_pooled`) and equal step terms are one tuple, so callers must not
+mutate a returned QSeries.
 """
 
 __all__ = [
@@ -36,7 +41,7 @@ from functools import cache
 from .branching import _check_family, _specialise
 from .partitions import Partition, check_bound, check_partition, padded, weight
 from .pieri import pieri_expand
-from .qseries import QSeries
+from .qseries import QSeries, _low_slots, _pack, _unpack_signed
 from .rootsystems import RootSystem, check_dominant, diagram_flip, rho_doubled
 
 
@@ -119,29 +124,83 @@ def k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
     """The stable series K_{nu,mu}(q) for the so or sp family, mod q^{D+1}."""
     _check_family(family)
     check_bound(D, "D")
-    return _k_limit(family, check_partition(nu), check_partition(mu), D)
+    return _k_limit(family, check_partition(nu), check_partition(mu), D)[2]
+
+
+# Slot width, in bits, of the packed stable values; `_fit` says when it
+# suffices, and raises when it might not.
+_WIDTH = 64
 
 
 @cache
-def _k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
-    """k_limit on valid partitions; the recursion stays inside this body."""
+def _k_limit(family: str, nu: Partition, mu: Partition, D: int) -> tuple[int, int, QSeries]:
+    """k_limit on valid partitions, as its pooled entry (packed series,
+    max |coefficient|, QSeries) of `_pooled`; the recursion stays inside
+    this body and sums packed integers."""
     if not nu and not mu:
-        return _shared_series(((0, 1),), D)
+        return _pooled(1, D)
     mu_flat = mu[1:]
     low = weight(mu_flat)
     # the pruning rule of the module docstring; it drops every shift > D too
     high = 2 * D + low
-    total = QSeries.combination(
-        [
-            (factor, shift, _k_limit(family, lam, mu_flat, D))
-            for factor, shift, lam, size in _morris_step(family, nu, mu[0] if mu else 0)
-            if low <= size <= high - 2 * shift
-        ],
-        D,
-    )
+    width = _WIDTH
+    total = bound = 0
+    for factor, shift, lam, size in _morris_step(family, nu, mu[0] if mu else 0):
+        if low <= size <= high - 2 * shift:
+            child, top, _ = _k_limit(family, lam, mu_flat, D)
+            if child:
+                total += factor * child << width * shift
+                bound += abs(factor) * top
+    packed = _fit(total, bound, D)
     if not mu:
-        total = total.div_one_minus_qm(nu[0], D)
-    return _shared_series(tuple(total.pairs()), D)
+        series = QSeries._trusted(_unpack_signed(packed, width), D).div_one_minus_qm(nu[0], D)
+        # each quotient coefficient sums at most D // nu_1 + 1 of the sum's
+        packed = _fit(_pack(series.coeffs.items(), width), bound * (D // nu[0] + 1), D)
+    return _pooled(packed, D)
+
+
+def _fit(packed: int, bound: int, D: int) -> int:
+    """packed mod q^{D+1}, in D + 1 balanced slots of _WIDTH bits, given
+    that each coefficient of packed up to q^D is at most `bound` in
+    absolute value.
+
+    Proof.  Sums and products of packed integers are exact integer
+    arithmetic, so packed is sum c_d 2^(d w) for the true coefficients
+    c_d of the polynomial it stands for, however large they are.  If
+    bound < 2^(w-1), every c_d with d <= D has |c_d| < 2^(w-1), and then
+    qseries._low_slots returns sum_{d <= D} c_d 2^(d w) exactly, and
+    qseries._unpack_signed reads each c_d back.  The callers' bounds:
+    - a Morris step sums factor q^shift K_child, whose coefficients are
+      at most max|K_child| (the exact value each pooled entry keeps), so
+      sum |factor| max|K_child| bounds the sum;
+    - the quotient by 1 - q^m adds at most D // m + 1 coefficients of
+      the dividend, so its bound is the dividend's times D // m + 1;
+    - the P-basis scatter subtracts K[lam,kappa] inv[kappa,mu] from delta,
+      and each coefficient of a product is at most l1(K[lam,kappa])
+      max|inv[kappa,mu]|, l1 the sum of the |coefficients|.
+    If bound reaches 2^(w-1), a slot could wrap into the next, so this
+    raises OverflowError and no value is returned.  At w = 64 this is far
+    off: the largest coefficient of k_matrix("so", 16, 10) has 13 bits,
+    and the largest bound handed here on the way 16 bits.
+    """
+    width = _WIDTH
+    if bound >> (width - 1):
+        raise OverflowError(f"coefficient bound {bound} does not fit a {width}-bit slot")
+    return _low_slots(packed, width, D + 1)
+
+
+# The pool behind the stable memos.  Most _k_limit entries repeat one of a
+# few distinct series (a quarter of them are zero), so each distinct value
+# is stored and decoded once.
+
+
+@cache
+def _pooled(packed: int, D: int) -> tuple[int, int, QSeries]:
+    """The one entry (packed, max |coefficient|, QSeries) of a stable value
+    mod q^{D+1}, packed as `_fit` leaves it; each distinct value is
+    decoded here once, and every memo entry equal to it is this tuple."""
+    pairs = _unpack_signed(packed, _WIDTH)
+    return packed, max((abs(c) for _, c in pairs), default=0), QSeries._trusted(pairs, D)
 
 
 @cache
@@ -165,21 +224,10 @@ def _morris_step(family: str, nu: Partition, mu1: int) -> tuple[tuple[int, int, 
     return _shared(tuple(terms))
 
 
-# The pool behind the stable memos.  Most _k_limit entries repeat one of a
-# few distinct series (a third of them are zero) and most step terms recur
-# across steps, so each distinct value is stored once.
-
-
-@cache
-def _shared_series(pairs: tuple[tuple[int, int], ...], D: int) -> QSeries:
-    """The one QSeries with these sorted (degree, coefficient) pairs, mod
-    q^{D+1}; the pairs come from a built series, so they are not re-checked."""
-    return QSeries._trusted(pairs, D)
-
-
 @cache
 def _shared(value: tuple) -> tuple:
-    """The first stored tuple equal to value."""
+    """The first stored tuple equal to value: most step terms recur across
+    steps, so each distinct term and step is stored once."""
     return value
 
 

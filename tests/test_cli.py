@@ -74,7 +74,7 @@ def test_json_meta_reports_every_memo_table(capsys):
     assert set(tables) == {
         "rootsystems.rho_doubled", "qkostant._table", "branching._sym_mult",
         "branching._stable_euler_factor", "recurrence._k_finite", "recurrence._finite_pieri",
-        "recurrence._k_limit", "recurrence._morris_step", "recurrence._shared_series",
+        "recurrence._k_limit", "recurrence._morris_step", "recurrence._pooled",
         "recurrence._shared", "pieri._pieri_support", "partitions._partitions_in_class",
         "lr.lr_cache",
     }
@@ -82,7 +82,7 @@ def test_json_meta_reports_every_memo_table(capsys):
     assert tables["recurrence._k_limit"]["size"] > 0
     assert tables["pieri._pieri_support"]["size"] > 0
     assert tables["recurrence._morris_step"]["size"] > 0
-    assert tables["recurrence._shared_series"]["size"] > 0
+    assert tables["recurrence._pooled"]["size"] > 0
     assert tables["recurrence._shared"]["size"] > 0
 
 

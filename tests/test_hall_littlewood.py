@@ -2,10 +2,11 @@
 
 import pytest
 
+from qweyl import hall_littlewood
 from qweyl.hall_littlewood import TruncatedKMatrix, k_matrix, p_basis_matrix, qprime_expansion
 from qweyl.partitions import conjugate, dominates, enumerate_partitions, weight
 from qweyl.qseries import QSeries
-from qweyl.recurrence import k_limit
+from qweyl.recurrence import _k_limit, k_limit
 
 
 def test_k_matrix_shape_and_triangularity():
@@ -83,6 +84,27 @@ def test_qprime_support_bound():
     assert ex.coeff((1, 1)) == QSeries.one(D)
     for lam, c in ex.terms.items():
         assert c.low_degree() >= (weight(lam) - 2 + 1) // 2
+
+
+def test_qprime_expansion_skips_lambda_lighter_than_mu(monkeypatch):
+    # K_{lambda,mu} = 0 for |lambda| < |mu|: no top-level lookup asks for
+    # one, and the expansion is that of every lambda up to |mu| + 2D
+    mu, D = (3, 3, 2), 3
+    keys = []
+
+    def recorded(family, lam, mu, D):
+        keys.append((lam, mu))
+        return _k_limit(family, lam, mu, D)
+
+    monkeypatch.setattr(hall_littlewood, "_k_limit", recorded)
+    for family in ("so", "sp"):
+        keys.clear()
+        ex = qprime_expansion(family, mu, D)
+        assert keys and all(weight(lam) >= weight(mu) for lam, _ in keys)
+        assert {lam for lam, _ in keys} == {
+            lam for lam in enumerate_partitions(weight(mu) + 2 * D) if weight(lam) >= weight(mu)}
+        assert ex.terms == {lam: s for lam in enumerate_partitions(weight(mu) + 2 * D)
+                            if (s := k_limit(family, lam, mu, D))}
 
 
 def test_truncated_k_matrix_is_an_unhashable_value():

@@ -12,9 +12,9 @@ from math import comb
 import pytest
 
 from qweyl.partitions import dominates, enumerate_partitions, padded, weight
-from qweyl.qkostant import (QKostantTable, _direct_table, _table, _unpack, k_direct, pq_width,
+from qweyl.qkostant import (QKostantTable, _direct_table, _table, k_direct, pq_width,
                             q_kostant, weight_multiplicity)
-from qweyl.qseries import QSeries
+from qweyl.qseries import QSeries, _unpack
 from qweyl.rootsystems import (
     RootSystem,
     dot_action,

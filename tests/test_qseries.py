@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qweyl.qseries import QSeries
+from qweyl.qseries import QSeries, _low_slots, _pack, _unpack_signed
 
 coeff_dicts = st.dictionaries(st.integers(0, 12), st.integers(-9, 9), max_size=6)
 series = coeff_dicts.map(QSeries)
@@ -123,6 +123,18 @@ def test_combination_of_no_terms_is_zero():
     assert QSeries.combination(iter(()), None) == QSeries.zero()
 
 
+def test_combination_rejects_only_a_coefficient_below_degree_zero():
+    # a term may shift below q^0 as long as nothing nonzero lands there
+    assert QSeries.combination([(1, -1, QSeries.zero(3))], 2) == QSeries.zero(2)
+    assert QSeries.combination([(0, -2, QSeries.one())]) == QSeries.zero()
+    assert QSeries.combination([(1, -1, QSeries({1: 2, 2: 1}))]) == QSeries({0: 2, 1: 1})
+    for terms in ([(1, -1, QSeries.one())], [(1, 0, QSeries.one()), (2, -3, QSeries({2: 1}))]):
+        with pytest.raises(ValueError, match="negative degree"):
+            QSeries.combination(terms)
+    with pytest.raises(ValueError, match="must be integers"):
+        QSeries.combination([(1, 0.5, QSeries.one())])
+
+
 def test_truncation_bound_is_an_integer_at_least_zero():
     for bad in (1.5, -1, 2.0, "3"):
         with pytest.raises(ValueError, match="truncation bound"):
@@ -133,6 +145,30 @@ def test_truncation_bound_is_an_integer_at_least_zero():
         QSeries.one().div_one_minus_qm(1, 1.5)
     # a bool is an int, as partitions.check_bound has it
     assert QSeries({0: 1, 1: 2, 2: 3}, True) == QSeries({0: 1, 1: 2}, 1)
+
+
+@given(st.integers(2, 70), st.data())
+def test_balanced_packing_round_trips(width, data):
+    # every coefficient with |c| < 2^(width-1), of either sign, is read
+    # back from its slot, also after a cut that drops arbitrary higher slots
+    half = 1 << (width - 1)
+    coeffs = data.draw(st.lists(st.integers(1 - half, half - 1), max_size=8))
+    pairs = [(d, c) for d, c in enumerate(coeffs) if c]
+    packed = _pack(pairs, width)
+    assert _unpack_signed(packed, width) == pairs
+    slots = data.draw(st.integers(1, 9))
+    above = data.draw(st.integers(-(1 << 300), 1 << 300)) << (slots * width)
+    assert _unpack_signed(_low_slots(packed + above, width, slots), width) == [
+        (d, c) for d, c in pairs if d < slots]
+
+
+def test_balanced_packing_bound_is_tight():
+    # a coefficient of 2^(width-1) no longer fits its slot
+    for width in (2, 8, 64):
+        half = 1 << (width - 1)
+        assert _unpack_signed(_pack([(0, half - 1), (1, 1 - half)], width), width) == [
+            (0, half - 1), (1, 1 - half)]
+        assert _unpack_signed(_pack([(0, half)], width), width) != [(0, half)]
 
 
 # Reference operators: the dict loops each QSeries operator ran before all

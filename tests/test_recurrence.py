@@ -12,11 +12,11 @@ import pytest
 
 from qweyl import hall_littlewood, recurrence
 from qweyl.branching import harmonic_coeff_stable, specialise
-from qweyl.hall_littlewood import k_matrix
+from qweyl.hall_littlewood import k_matrix, p_basis_matrix
 from qweyl.partitions import dominates, enumerate_partitions, padded, weight
 from qweyl.pieri import _pieri_support, pieri_expand
 from qweyl.qkostant import _table, k_direct, weight_multiplicity
-from qweyl.qseries import QSeries
+from qweyl.qseries import QSeries, _unpack_signed
 from qweyl.recurrence import (
     brylinski_dims,
     degree_bounds,
@@ -24,6 +24,7 @@ from qweyl.recurrence import (
     _k_finite,
     _k_limit,
     _morris_step,
+    _pooled,
     _step,
     k_limit,
     k_recurrence_finite,
@@ -384,19 +385,20 @@ def test_shared_step_matches_unshared_recurrence():
 
 def test_shared_step_does_not_depend_on_call_order():
     """From empty tables, D = 4 and D = 6 asked in either order give the
-    unshared values and leave the same step entries behind."""
+    unshared values and leave the same step and pool entries behind."""
     pairs = _dominated_pairs(8)
     sizes = []
     for order in ((4, 6), (6, 4)):
         _k_limit.cache_clear()
         _morris_step.cache_clear()
+        _pooled.cache_clear()
         for D in order:
             for family in ("so", "sp"):
                 for nu, mu in pairs:
                     want = _k_limit_unshared(family, nu, mu, D)
                     assert k_limit(family, nu, mu, D) == want, (order, family, nu, mu, D)
-        sizes.append(_morris_step.cache_info().currsize)
-    assert sizes[0] == sizes[1] > 0
+        sizes.append((_morris_step.cache_info().currsize, _pooled.cache_info().currsize))
+    assert sizes[0] == sizes[1] and min(sizes[0]) > 0
 
 
 def test_pruned_children_are_never_memoised(monkeypatch):
@@ -414,6 +416,64 @@ def test_pruned_children_are_never_memoised(monkeypatch):
     k_matrix("so", 8, 4)
     assert len(keys) == _k_limit.cache_info().currsize > 0
     assert all(weight(nu) >= weight(mu) for nu, mu in keys)
+
+
+@pytest.fixture
+def empty_stable_memo():
+    """Empty stable memo and pool before and after the test: their packed
+    values hold only at the slot width they were computed at."""
+    def clear():
+        _k_limit.cache_clear()
+        _pooled.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+def test_narrow_slots_raise_and_never_return_a_wrong_value(monkeypatch, empty_stable_memo):
+    """At every slot width the memo and the P-basis scatter either give the
+    64-bit values or raise; both guards fire below the widths they need."""
+    want = {}
+    for family in ("so", "sp"):
+        want[family] = (k_matrix(family, 8, 4).entries, p_basis_matrix(family, 8, 4).entries)
+    failed = {"k": set(), "p": set()}
+    for width in range(2, 12):
+        monkeypatch.setattr(recurrence, "_WIDTH", width)
+        for family in ("so", "sp"):
+            for name, build, entries in (("k", k_matrix, want[family][0]),
+                                         ("p", p_basis_matrix, want[family][1])):
+                empty_stable_memo()
+                try:
+                    got = build(family, 8, 4)
+                except OverflowError:
+                    failed[name].add((family, width))
+                    continue
+                assert got.entries == entries, (name, family, width)
+    assert ("so", 2) in failed["k"] and ("so", 11) not in failed["p"]
+    # a width where the memo fits but the scatter's bound does not
+    assert failed["p"] - failed["k"]
+
+
+def test_every_bound_handed_to_fit_holds(monkeypatch, empty_stable_memo):
+    """The memo and the P-basis scatter hand _fit a bound on the
+    coefficients they have summed: each is at least the largest one."""
+    fit = recurrence._fit
+    calls = []
+
+    def checked(packed, bound, D):
+        out = fit(packed, bound, D)
+        calls.append((max((abs(c) for _, c in _unpack_signed(out, recurrence._WIDTH)), default=0),
+                      bound))
+        return out
+
+    # the memo and the scatter both reach _fit through a module name
+    monkeypatch.setattr(recurrence, "_fit", checked)
+    monkeypatch.setattr(hall_littlewood, "_fit", checked)
+    for family in ("so", "sp"):
+        p_basis_matrix(family, 10, 5)
+    assert len(calls) > 1000
+    assert all(top <= bound for top, bound in calls)
 
 
 def _by_value(values, key) -> dict:
