@@ -5,9 +5,17 @@ partitions, and the dual P-basis obtained by triangular inversion.
 
 The window lists partitions in (weight, reverse-lexicographic) order.
 K[lam, mu] is 1 on the diagonal and nonzero elsewhere only if
-|mu| <= |lam| and lam dominates mu, so inversion is a triangular solve over
-truncated series in (weight, lexicographic) order; it scatters each nonzero
-entry of the inverse into the rows the K-matrix's support reaches.
+|mu| <= |lam|, |lam| - |mu| is even and lam dominates mu, so inversion is
+a triangular solve over truncated series in (weight, lexicographic)
+order; it scatters each nonzero entry of the inverse into the rows the
+K-matrix's support reaches.
+
+Both builders use the degree fact of recurrence's pruning: the lowest
+degree of K_{lam,mu} is at least (|lam| - |mu|) / 2, and the lowest
+degree of a product is the sum of its factors'.  So k_matrix never
+looks up a pair with |lam| - |mu| > 2D, and p_basis_matrix never forms
+a product K[lam, kappa] inv[kappa, mu] whose lowest degree exceeds D;
+either is 0 mod q^{D+1}.
 """
 
 __all__ = [
@@ -18,14 +26,16 @@ __all__ = [
 ]
 
 from heapq import heappop, heappush
+from itertools import accumulate
+from operator import ge
 
 from .branching import CharExpansion, _check_family
 from .partitions import (
     Partition,
     check_bound,
     check_partition,
-    dominates,
     enumerate_partitions,
+    padded,
     weight,
 )
 from .qseries import QSeries
@@ -101,18 +111,24 @@ def k_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
     check_bound(weight_bound, "weight_bound")
     check_bound(D, "D")
     index = enumerate_partitions(weight_bound)
-    sized = [(p, weight(p)) for p in index]
+    # by_weight[w]: the window's (partition, partial sums padded to
+    # weight_bound) of weight w; lam dominates mu iff each partial sum of
+    # lam is >= that of mu
+    by_weight: list[list] = [[] for _ in range(weight_bound + 1)]
+    for p in index:
+        by_weight[weight(p)].append((p, tuple(accumulate(padded(p, weight_bound)))))
     entries: dict[tuple[Partition, Partition], QSeries] = {}
-    for lam, wl in sized:
-        # the window is sorted by weight, and K[lam, mu] = 0 for |mu| > |lam|
-        for mu, wm in sized:
-            if wm > wl:
-                break
-            if (wl - wm) % 2 or not dominates(lam, mu):
-                continue
-            packed, _, series = _k_limit(family, lam, mu, D)
-            if packed:
-                entries[(lam, mu)] = series
+    for wl, row in enumerate(by_weight):
+        # K[lam, mu] = 0 unless |lam| - |mu| is even and in [0, 2D]: the
+        # lowest degree of K_{lam,mu} is at least (|lam| - |mu|) / 2
+        cols = by_weight[max(wl - 2 * D, wl % 2):wl + 1:2]
+        for lam, sums in row:
+            for col in cols:
+                for mu, mu_sums in col:
+                    if all(map(ge, sums, mu_sums)):
+                        packed, _, series = _k_limit(family, lam, mu, D)
+                        if packed:
+                            entries[(lam, mu)] = series
     return TruncatedKMatrix(family, weight_bound, D, index, entries)
 
 
@@ -130,7 +146,10 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
     order as by a full back substitution over the window.  The scatter
     runs on the packed values of the stable memo: one integer product per
     (row, column), cut mod q^{D+1} once a row is final, under the
-    coefficient bound that recurrence._fit proves.
+    coefficient bound that recurrence._fit proves.  Each column of K is
+    sorted by the lowest degree of its entries, so a row whose value has
+    lowest degree o scatters the entries of lowest degree <= D - o and
+    stops at the first one above.
     """
     km = k_matrix(family, weight_bound, D)
     index = km.index
@@ -139,14 +158,18 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
     # inv[lam, mu] = delta - sum_{kappa < lam} K[lam,kappa] inv[kappa,mu]
     solve_order = sorted(index, key=lambda p: (weight(p), p))
     position = {p: i for i, p in enumerate(solve_order)}
-    # cols[position of kappa]: (position of lam, packed K[lam, kappa],
-    # sum of its |coefficients|), read from the memo k_matrix filled
+    # cols[position of kappa]: (lowest degree of K[lam, kappa], position
+    # of lam, packed K[lam, kappa], sum of its |coefficients|), read from
+    # the memo k_matrix filled, by lowest degree
     cols: dict[int, list] = {}
     for lam, kappa in km.entries:
         if lam != kappa:
             packed, _, series = _k_limit(family, lam, kappa, D)
+            coeffs = series.coeffs
             cols.setdefault(position[kappa], []).append(
-                (position[lam], packed, sum(map(abs, series.coeffs.values()))))
+                (min(coeffs), position[lam], packed, sum(map(abs, coeffs.values()))))
+    for col in cols.values():
+        col.sort()
     inv: dict[tuple[Partition, Partition], QSeries] = {}
     for mu in index:
         # pending[i]: [packed inv[solve_order[i], mu] so far, bound on its
@@ -161,7 +184,12 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
             if not packed:
                 continue
             inv[(solve_order[i], mu)] = series
-            for j, kval, l1 in cols.get(i, ()):
+            # a product's lowest degree is the sum of its factors', so the
+            # entries of lowest degree > D - (that of inv[kappa, mu]) add 0
+            limit = D - min(series.coeffs)
+            for low, j, kval, l1 in cols.get(i, ()):
+                if low > limit:
+                    break
                 acc = pending.get(j)
                 if acc is None:
                     pending[j] = [-kval * packed, l1 * top]

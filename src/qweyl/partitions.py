@@ -24,6 +24,7 @@ __all__ = [
 
 from collections.abc import Iterator
 from functools import cache
+from itertools import product
 from operator import ge, le
 
 Partition = tuple[int, ...]
@@ -58,8 +59,8 @@ def check_partition(parts) -> Partition:
 
 def check_bound(value, name: str, low: int = 0) -> int:
     """value as an integer bound (a degree, weight or rank) >= low; a
-    non-integer, even an integral float, is an error."""
-    if not isinstance(value, int) or value < low:
+    non-integer, even an integral float or a bool, is an error."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return value
 
@@ -108,20 +109,30 @@ def dominates(p: Partition, q: Partition) -> bool:
     return True
 
 
-def _box_tuples(lower: tuple[int, ...], upper: tuple[int, ...], total: int) -> Iterator[Partition]:
+def _box_tuples(lower: tuple[int, ...], upper: tuple[int, ...], total: int) -> list[Partition]:
     """The tuples t with lower[i] <= t[i] <= upper[i] and sum(t) == total,
-    in lexicographic order, with trailing zeros dropped."""
+    in lexicographic order, with trailing zeros dropped.
+
+    itertools.product runs every row but the last through its range, in
+    lexicographic order, and the last row is solved from the total, so
+    the tuples come out in lexicographic order without a sort."""
     if not lower:
-        if total == 0:
-            yield ()
-        return
-    rest_low, rest_high = sum(lower[1:]), sum(upper[1:])
-    for head in range(max(lower[0], total - rest_high), min(upper[0], total - rest_low) + 1):
-        for tail in _box_tuples(lower[1:], upper[1:], total - head):
-            yield (head,) + tail if head or tail else ()
+        return [()] if total == 0 else []
+    low, high = lower[-1], upper[-1]
+    out = []
+    for head in product(*map(range, lower[:-1], [u + 1 for u in upper[:-1]])):
+        last = total - sum(head)
+        if low <= last <= high:
+            if last:
+                out.append(head + (last,))
+            else:
+                while head and not head[-1]:
+                    head = head[:-1]
+                out.append(head)
+    return out
 
 
-def add_horizontal_strips(p: Partition, size: int) -> Iterator[Partition]:
+def add_horizontal_strips(p: Partition, size: int) -> list[Partition]:
     """All partitions obtained from p by adding a horizontal strip of `size` boxes."""
     p, size = check_partition(p), check_bound(size, "strip size")
     # a strip interleaves the shapes, out_1 >= p_1 >= out_2 >= p_2 >= ...:
@@ -130,7 +141,7 @@ def add_horizontal_strips(p: Partition, size: int) -> Iterator[Partition]:
     return _box_tuples(p + (0,), (top,) + p, weight(p) + size)
 
 
-def remove_horizontal_strips(p: Partition, size: int) -> Iterator[Partition]:
+def remove_horizontal_strips(p: Partition, size: int) -> list[Partition]:
     """All partitions obtained from p by removing a horizontal strip of `size` boxes."""
     p, size = check_partition(p), check_bound(size, "strip size")
     # p_1 >= out_1 >= p_2 >= out_2 >= ...: row i of the result lies in [p_{i+1}, p_i]

@@ -16,14 +16,7 @@ __all__ = ["stable_pieri", "pieri_expand"]
 
 from functools import cache
 
-from .partitions import (
-    Partition,
-    add_horizontal_strips,
-    check_bound,
-    check_partition,
-    remove_horizontal_strips,
-    weight,
-)
+from .partitions import Partition, _box_tuples, check_bound, check_partition, weight
 
 
 def stable_pieri(gamma: Partition, l: int, lam: Partition) -> int:
@@ -45,10 +38,16 @@ def pieri_expand(gamma: Partition, l: int) -> dict[Partition, int]:
 
 @cache
 def _pieri_support(gamma: Partition, l: int) -> tuple[tuple[Partition, int], ...]:
+    # the strip boxes of partitions.add_horizontal_strips and
+    # remove_horizontal_strips, on a key that is already a valid partition
     out: dict[Partition, int] = {}
-    for removed in range(min(l, weight(gamma)) + 1):
+    size = weight(gamma)
+    for removed in range(min(l, size) + 1):
         added = l - removed
-        for alpha in remove_horizontal_strips(gamma, removed):
-            for lam in add_horizontal_strips(alpha, added):
+        # gamma_1 >= alpha_1 >= gamma_2 >= alpha_2 >= ...
+        for alpha in _box_tuples(gamma[1:] + (0,) if gamma else (), gamma, size - removed):
+            # lam_1 >= alpha_1 >= lam_2 >= ..., lam_1 <= alpha_1 + added
+            top = ((alpha[0] if alpha else 0) + added,) + alpha
+            for lam in _box_tuples(alpha + (0,), top, size - removed + added):
                 out[lam] = out.get(lam, 0) + 1
     return tuple(out.items())

@@ -25,7 +25,8 @@ class QSeries:
 
     def __init__(self, coeffs=None, trunc: int | None = None):
         # the rule of partitions.check_bound, inlined: this is a hot path
-        if trunc is not None and not (isinstance(trunc, int) and trunc >= 0):
+        if trunc is not None and not (isinstance(trunc, int) and not isinstance(trunc, bool)
+                                      and trunc >= 0):
             raise ValueError(f"truncation bound must be an integer >= 0, got {trunc!r}")
         cc = {}
         if coeffs:
@@ -64,7 +65,8 @@ class QSeries:
         the series' own pairs already passed them.
         """
         # the rule of partitions.check_bound, inlined: this is a hot path
-        if trunc is not None and not (isinstance(trunc, int) and trunc >= 0):
+        if trunc is not None and not (isinstance(trunc, int) and not isinstance(trunc, bool)
+                                      and trunc >= 0):
             raise ValueError(f"truncation bound must be an integer >= 0, got {trunc!r}")
         t = trunc
         lowest = 0

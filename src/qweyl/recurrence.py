@@ -177,7 +177,10 @@ def _fit(packed: int, bound: int, D: int) -> int:
       the dividend, so its bound is the dividend's times D // m + 1;
     - the P-basis scatter subtracts K[lam,kappa] inv[kappa,mu] from delta,
       and each coefficient of a product is at most l1(K[lam,kappa])
-      max|inv[kappa,mu]|, l1 the sum of the |coefficients|.
+      max|inv[kappa,mu]|, l1 the sum of the |coefficients|.  A product
+      whose factors' lowest degrees sum to more than D is 0 mod q^{D+1};
+      the scatter leaves it out of the sum and of the bound alike, so
+      the bound covers every product that is summed.
     If bound reaches 2^(w-1), a slot could wrap into the next, so this
     raises OverflowError and no value is returned.  At w = 64 this is far
     off: the largest coefficient of k_matrix("so", 16, 10) has 13 bits,
@@ -209,7 +212,8 @@ def _morris_step(family: str, nu: Partition, mu1: int) -> tuple[tuple[int, int, 
     K_{nu,mu}, at every shift: K_{nu,mu} = sum factor q^shift K_{lam, mu-flat}.
     The step depends on mu only through mu_1 (0 for mu = empty), so one
     table serves every mu with that first part and every truncation D."""
-    measure = weight(nu) + weight(nu[1:])
+    # |nu| + |nu-flat|, with |nu-flat| = |nu| - nu_1 (nu_1 = 0 for nu = empty)
+    measure = 2 * weight(nu) - (nu[0] if nu else 0)
     terms = []
     for sign, shift, gamma, r in _step(family == "sp", nu, mu1):
         for lam, pc in pieri_expand(gamma, r).items():
@@ -219,7 +223,7 @@ def _morris_step(family: str, nu: Partition, mu1: int) -> tuple[tuple[int, int, 
             if not mu1 and lam == nu:
                 continue
             size = weight(lam)
-            assert size + weight(lam[1:]) < measure, (nu, mu1, lam)
+            assert 2 * size - (lam[0] if lam else 0) < measure, (nu, mu1, lam)
             terms.append(_shared((sign * pc, shift, lam, size)))
     return _shared(tuple(terms))
 

@@ -157,10 +157,10 @@ def _k_matrix_all_pairs(family, bound, D):
 
 
 @pytest.mark.parametrize("family", ["so", "sp"])
-@pytest.mark.parametrize("bound, D", [(10, 4), (8, 6)])
+@pytest.mark.parametrize("bound, D", [(10, 4), (8, 6), (8, 1), (9, 2)])
 def test_weight_sorted_scan_matches_all_pairs(family, bound, D):
-    # stopping the inner scan at the first |mu| > |lam| loses no entry
-    # and keeps the key order
+    # scanning only |lam| - 2D <= |mu| <= |lam| loses no entry and keeps
+    # the key order; with 2D < bound the lower end cuts pairs off
     km = k_matrix(family, bound, D)
     assert list(km.entries.items()) == list(_k_matrix_all_pairs(family, bound, D).items())
 
@@ -262,10 +262,11 @@ def _dense_back_substitution(km):
 
 
 @pytest.mark.parametrize("family", ["so", "sp"])
-@pytest.mark.parametrize("bound, D", [(0, 0), (1, 2), (6, 3), (8, 0), (8, 6), (10, 4), (12, 3)])
+@pytest.mark.parametrize("bound, D",
+                         [(0, 0), (1, 2), (6, 3), (8, 0), (8, 6), (10, 4), (12, 3), (10, 1), (12, 2)])
 def test_pruned_inverse_matches_dense_back_substitution(family, bound, D):
-    # the pruned solve skips only entries that are provably zero, and
-    # inserts the others in the same order
+    # the pruned solve skips only entries and products that are provably
+    # zero, and inserts the others in the same order
     pm = p_basis_matrix(family, bound, D)
     dense = _dense_back_substitution(k_matrix(family, bound, D))
     assert list(pm.entries.items()) == list(dense.items())

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from qweyl.partitions import (
+    _box_tuples,
     add_horizontal_strips,
     check_partition,
     conjugate,
@@ -18,6 +19,7 @@ from qweyl.partitions import (
     remove_horizontal_strips,
     weight,
 )
+from strip_reference import add_strips, box_tuples, remove_strips
 
 partitions = st.lists(st.integers(1, 8), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -123,6 +125,24 @@ def test_strip_enumerators_are_complete():
             assert sorted(removed) == sorted(
                 q for q in enumerate_partitions(0, exact_weight=max(weight(p) - size, 0))
                 if weight(q) == weight(p) - size and is_horizontal_strip(q, p))
+
+
+def test_strip_lists_match_the_recursive_reference_in_order():
+    # the same strips in the same (lexicographic) order as the recursion
+    # on the first row
+    for p in enumerate_partitions(8):
+        for size in range(6):
+            assert list(add_horizontal_strips(p, size)) == add_strips(p, size), (p, size)
+            assert list(remove_horizontal_strips(p, size)) == remove_strips(p, size), (p, size)
+
+
+def test_box_tuples_match_the_recursive_reference_on_any_box():
+    # boxes that are no strip: empty rows, zero rows inside, negative totals
+    boxes = [((), (), 0), ((), (), 1), ((0,), (0,), 0), ((0, 0), (2, 2), 2),
+             ((1, 0, 0), (3, 2, 0), 3), ((2,), (1,), 1), ((0, 0, 0), (1, 1, 1), -1),
+             ((0, 1, 0), (2, 1, 2), 2)]
+    for lower, upper, total in boxes:
+        assert _box_tuples(lower, upper, total) == list(box_tuples(lower, upper, total))
 
 
 def test_enumerate_order_and_classes():

@@ -5,13 +5,16 @@ coefficients, mult = sum over alpha of c^gamma_{alpha,(a)} c^lam_{alpha,(l-a)},
 using the separately verified LR implementation.
 """
 
+import pytest
+
 from qweyl.lr import lr_coefficient
 from qweyl.partitions import (
     enumerate_partitions,
     is_horizontal_strip,
     weight,
 )
-from qweyl.pieri import pieri_expand, stable_pieri
+from qweyl.pieri import _pieri_support, pieri_expand, stable_pieri
+from strip_reference import pieri_support
 
 
 def pieri_oracle(gamma, l, lam):
@@ -79,3 +82,20 @@ def test_expand_result_cannot_corrupt_the_memo():
     first.pop((2, 1))
     assert pieri_expand((2, 1), 2) == expected
     assert pieri_expand((2, 1), 2) is not pieri_expand((2, 1), 2)
+
+
+def test_support_matches_remove_then_add_reference():
+    # all 469 keys with |gamma| <= 8, l <= 6: the same multiplicities,
+    # inserted in the same order
+    keys = [(gamma, l) for gamma in enumerate_partitions(8) for l in range(7)]
+    assert len(keys) == 469
+    for gamma, l in keys:
+        assert _pieri_support(gamma, l) == pieri_support(gamma, l), (gamma, l)
+
+
+def test_bool_strip_length_is_rejected():
+    # True == 1, but a bool is no strip length
+    with pytest.raises(ValueError, match="l must be an integer"):
+        stable_pieri((1,), True, (2,))
+    with pytest.raises(ValueError, match="l must be an integer"):
+        pieri_expand((1,), False)

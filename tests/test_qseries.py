@@ -143,8 +143,12 @@ def test_truncation_bound_is_an_integer_at_least_zero():
         QSeries.one().truncated(1.5)
     with pytest.raises(ValueError):
         QSeries.one().div_one_minus_qm(1, 1.5)
-    # a bool is an int, as partitions.check_bound has it
-    assert QSeries({0: 1, 1: 2, 2: 3}, True) == QSeries({0: 1, 1: 2}, 1)
+    # a bool is an int to Python, but no bound, as partitions.check_bound has it
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="truncation bound"):
+            QSeries({0: 1, 1: 2, 2: 3}, bad)
+        with pytest.raises(ValueError, match="truncation bound"):
+            QSeries.combination([(1, 0, QSeries.one())], bad)
 
 
 @given(st.integers(2, 70), st.data())

@@ -476,6 +476,16 @@ def test_every_bound_handed_to_fit_holds(monkeypatch, empty_stable_memo):
     assert all(top <= bound for top, bound in calls)
 
 
+def test_bool_truncation_is_rejected_and_never_memoised(empty_stable_memo):
+    # True == 1 and hash(True) == hash(1): a bool that got into the memo
+    # would answer every later query at D = 1 with a series of bound True
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="D must be an integer"):
+            k_limit("so", (2,), (), bad)
+    series = k_limit("so", (2,), (), 1)
+    assert type(series.trunc) is int and series.trunc == 1
+
+
 def _by_value(values, key) -> dict:
     """{key(value): set of the ids of the values with that key}."""
     groups: dict = {}
