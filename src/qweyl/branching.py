@@ -11,6 +11,14 @@ harmonics alike.  The tests check that path against S^k(g) decomposed
 from its weight system (a Brauer-Klimyk step: each weight, shifted by
 rho, is reflected into the dominant chamber with its sign, and weights
 on a wall cancel).
+
+Only the so sums are run: the sp multiplicity of lam is the so one of
+its conjugate lam' (the involution phi below; Koike-Terada 1987).
+Proof.  Conjugation keeps every LR coefficient, c^{nu'}_{lam',gamma'} =
+c^nu_{lam,gamma}, and it swaps the even-row and even-column classes, so
+sum over nu even-row, gamma even-column of c^nu_{lam,gamma} (the sp
+multiplicity at lam) is, term by term, sum over nu' even-column, gamma'
+even-row of c^{nu'}_{lam',gamma'} (the so multiplicity at lam').
 """
 
 __all__ = [
@@ -32,9 +40,10 @@ from functools import cache
 from .lr import lr_coefficient
 from .partitions import (
     Partition,
+    _conjugate,
+    _partitions_in_class,
     check_bound,
     check_partition,
-    conjugate,
     contains,
     enumerate_partitions,
     weight,
@@ -86,8 +95,6 @@ def _check_family(family: str, k: int = 0) -> None:
 
 # so-branching sums over even-row gamma, sp over even-column
 _GAMMA_CLASS = {"so": "even_rows", "sp": "even_columns"}
-# stable S(g) multiplicities: nu runs over the conjugate class
-_NU_CLASS = {"so": "even_columns", "sp": "even_rows"}
 
 
 def branching(family: str, nu: Partition, lam: Partition) -> int:
@@ -102,7 +109,7 @@ def branching(family: str, nu: Partition, lam: Partition) -> int:
     if diff < 0 or diff % 2 or not contains(nu, lam):
         return 0
     total = 0
-    for gamma in enumerate_partitions(diff, _GAMMA_CLASS[family], exact_weight=diff):
+    for gamma in _partitions_in_class(diff, _GAMMA_CLASS[family]):
         if contains(nu, gamma):
             total += lr_coefficient(lam, gamma, nu)
     return total
@@ -116,13 +123,21 @@ def sym_mult_stable(family: str, k: int, lam: Partition) -> int:
 
 @cache
 def _sym_mult(family: str, k: int, lam: Partition) -> int:
-    """sym_mult_stable on a known family, k >= 0 and a valid partition."""
+    """sym_mult_stable on a known family, k >= 0 and a valid partition.
+
+    The so multiplicity is the Littlewood sum over even-column nu of
+    branching("so", nu, lam).  The sp multiplicity at lam is the so one
+    at the conjugate lam' (module docstring): conjugation keeps each
+    c^nu_{lam,gamma} and swaps even rows with even columns, so the sp sum
+    over (nu, gamma) is term for term the so sum at lam'."""
+    if family == "sp":
+        return _sym_mult("so", k, _conjugate(lam))
     if weight(lam) > 2 * k:
         return 0
     total = 0
-    for nu in enumerate_partitions(2 * k, _NU_CLASS[family], exact_weight=2 * k):
-        if contains(nu, lam):  # branching(family, nu, lam) is 0 otherwise
-            total += branching(family, nu, lam)
+    for nu in _partitions_in_class(2 * k, "even_columns"):
+        if contains(nu, lam):  # branching("so", nu, lam) is 0 otherwise
+            total += branching("so", nu, lam)
     return total
 
 
@@ -263,5 +278,5 @@ def phi(expansion: CharExpansion) -> CharExpansion:
         raise ValueError("phi acts on universal characters (rank must be absent)")
     other = "sp" if expansion.basis == "so" else "so"
     return CharExpansion(
-        other, {conjugate(lam): c for lam, c in expansion.terms.items()}
+        other, {_conjugate(lam): c for lam, c in expansion.terms.items()}
     )

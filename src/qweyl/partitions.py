@@ -76,10 +76,20 @@ def padded(p: Partition, n: int) -> tuple[int, ...]:
 
 
 def conjugate(p: Partition) -> Partition:
-    p = check_partition(p)
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x > i) for i in range(p[0]))
+    return _conjugate(check_partition(p))
+
+
+def _conjugate(p: Partition) -> Partition:
+    """conjugate on a valid partition, with no check.  Column j has length
+    l = #{i : p_i > j}; as j grows, l only falls, so one walk up the rows
+    finds every column."""
+    out = []
+    l = len(p)
+    for j in range(p[0] if p else 0):
+        while p[l - 1] <= j:
+            l -= 1
+        out.append(l)
+    return tuple(out)
 
 
 def contains(outer: Partition, inner: Partition) -> bool:

@@ -31,8 +31,8 @@ class QSeries:
         cc = {}
         if coeffs:
             for d, c in coeffs.items() if isinstance(coeffs, dict) else coeffs:
-                # exact integer arithmetic: no float or fraction gets in
-                if not (isinstance(d, int) and isinstance(c, int)):
+                # exact integer arithmetic: no float, fraction or bool gets in
+                if not (type(d) is int and type(c) is int):
                     raise ValueError(f"degree and coefficient must be integers, got {d!r}: {c!r}")
                 if d < 0:
                     raise ValueError("negative degree")
@@ -72,8 +72,8 @@ class QSeries:
         lowest = 0
         cc: dict[int, int] = {}
         for factor, shift, series in terms:
-            # exact integer arithmetic: no float or fraction gets in
-            if not (isinstance(factor, int) and isinstance(shift, int)):
+            # exact integer arithmetic: no float, fraction or bool gets in
+            if not (type(factor) is int and type(shift) is int):
                 raise ValueError(f"factor and shift must be integers, got {factor!r}, {shift!r}")
             if shift < lowest:
                 lowest = shift
@@ -126,7 +126,7 @@ class QSeries:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:  # a bool is no series
             other = QSeries({0: other})
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -150,7 +150,7 @@ class QSeries:
 
     def scale(self, k: int) -> "QSeries":
         # a non-integral factor would make the coefficients inexact
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise ValueError(f"scale factor must be an integer, got {k!r}")
         return QSeries.combination([(k, 0, self)])
 
@@ -167,6 +167,8 @@ class QSeries:
         A truncation bound must come either from the series itself or
         from the `trunc` argument, since the result is genuinely infinite.
         """
+        if type(m) is not int:
+            raise ValueError(f"m must be an integer >= 1, got {m!r}")
         if m == 0:
             raise ZeroDivisionError("division by 1 - q^0 = 0")
         if m < 0:

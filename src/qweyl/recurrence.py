@@ -145,12 +145,12 @@ def _k_limit(family: str, nu: Partition, mu: Partition, D: int) -> tuple[int, in
     high = 2 * D + low
     width = _WIDTH
     total = bound = 0
-    for factor, shift, lam, size in _morris_step(family, nu, mu[0] if mu else 0):
+    for factor, magnitude, shift, lam, size in _morris_step(family, nu, mu[0] if mu else 0):
         if low <= size <= high - 2 * shift:
             child, top, _ = _k_limit(family, lam, mu_flat, D)
             if child:
                 total += factor * child << width * shift
-                bound += abs(factor) * top
+                bound += magnitude * top
     packed = _fit(total, bound, D)
     if not mu:
         series = QSeries._trusted(_unpack_signed(packed, width), D).div_one_minus_qm(nu[0], D)
@@ -207,9 +207,10 @@ def _pooled(packed: int, D: int) -> tuple[int, int, QSeries]:
 
 
 @cache
-def _morris_step(family: str, nu: Partition, mu1: int) -> tuple[tuple[int, int, Partition, int], ...]:
-    """The terms (factor, shift, lam, |lam|) of the stable step for
-    K_{nu,mu}, at every shift: K_{nu,mu} = sum factor q^shift K_{lam, mu-flat}.
+def _morris_step(family: str, nu: Partition,
+                 mu1: int) -> tuple[tuple[int, int, int, Partition, int], ...]:
+    """The terms (factor, |factor|, shift, lam, |lam|) of the stable step
+    for K_{nu,mu}, at every shift: K_{nu,mu} = sum factor q^shift K_{lam, mu-flat}.
     The step depends on mu only through mu_1 (0 for mu = empty), so one
     table serves every mu with that first part and every truncation D."""
     # |nu| + |nu-flat|, with |nu-flat| = |nu| - nu_1 (nu_1 = 0 for nu = empty)
@@ -224,7 +225,8 @@ def _morris_step(family: str, nu: Partition, mu1: int) -> tuple[tuple[int, int, 
                 continue
             size = weight(lam)
             assert 2 * size - (lam[0] if lam else 0) < measure, (nu, mu1, lam)
-            terms.append(_shared((sign * pc, shift, lam, size)))
+            factor = sign * pc
+            terms.append(_shared((factor, abs(factor), shift, lam, size)))
     return _shared(tuple(terms))
 
 

@@ -22,6 +22,7 @@ from qweyl.qkostant import k_direct
 from qweyl.qseries import QSeries
 from qweyl.recurrence import degree_bounds, k_limit, k_recurrence_finite
 from qweyl.rootsystems import RootSystem
+from littlewood_reference import sym_mult_sp_direct
 
 
 def _report(num: int, ok: bool) -> None:
@@ -148,10 +149,12 @@ def test_criterion_07_degree_window():
 
 
 def test_criterion_08_stable_sym_duality_and_support():
+    # the library reads sp from so at the conjugate, so the sp side of the
+    # duality is the direct sp Littlewood sum of the test reference
     ok = True
     for k in range(4):
         for lam in enumerate_partitions(6):
-            if sym_mult_stable("sp", k, lam) != sym_mult_stable(
+            if sym_mult_sp_direct(k, lam) != sym_mult_stable(
                 "so", k, conjugate(lam)
             ):
                 ok = False

@@ -5,6 +5,8 @@ the stable range, finite decompositions against a dimension count, and
 harmonic graded multiplicities against the alternating-sum q-analogue.
 """
 
+import importlib
+from collections import Counter
 from math import comb
 
 import pytest
@@ -25,13 +27,14 @@ from qweyl.branching import (
     sym_mult_stable,
 )
 from qweyl.hall_littlewood import k_matrix, p_basis_matrix, qprime_expansion
-from qweyl.lr import lr_coefficient
+from qweyl.lr import lr_cache, lr_coefficient
 from qweyl.partitions import _partitions_in_class, conjugate, enumerate_partitions, weight
 from qweyl.pieri import _pieri_support, pieri_expand, stable_pieri
 from qweyl.qkostant import _table, k_direct
 from qweyl.qseries import QSeries
 from qweyl.recurrence import _k_finite, brylinski_dims, degree_bounds, k_limit, k_recurrence_finite
 from qweyl.rootsystems import RootSystem, degrees, diagram_flip, positive_roots, weyl_dim
+from littlewood_reference import sym_mult_sp_direct
 from weyl_reference import dominant_dot
 
 
@@ -98,7 +101,7 @@ def test_symmetric_powers_of_vector_rep():
 
 
 def test_branching_duality():
-    for nu in enumerate_partitions(6):
+    for nu in enumerate_partitions(8):
         for lam in enumerate_partitions(weight(nu)):
             assert branching("sp", nu, lam) == branching(
                 "so", conjugate(nu), conjugate(lam)
@@ -118,12 +121,63 @@ def test_stable_sym_mult_basics():
     assert sym_mult_stable("so", 1, (3, 1)) == 0
 
 
+# the stable S^k(g) cells of the duality checks: k <= 8, |lam| <= 2k + 2
+_SYM_GRID = [(k, lam) for k in range(9) for lam in enumerate_partitions(2 * k + 2)]
+
+
+def _sp_mismatches():
+    """The grid cells where sym_mult_stable("sp") differs from the direct
+    sp Littlewood sum of the test reference."""
+    return [(k, lam) for k, lam in _SYM_GRID
+            if sym_mult_stable("sp", k, lam) != sym_mult_sp_direct(k, lam)]
+
+
 def test_stable_sym_duality():
-    for k in range(4):
-        for lam in enumerate_partitions(2 * k):
-            assert sym_mult_stable("sp", k, lam) == sym_mult_stable(
-                "so", k, conjugate(lam)
-            )
+    """sp multiplicities, read from so at the conjugate partition, equal
+    the direct sp sum over even-row nu on every cell of the grid."""
+    assert not _sp_mismatches()
+    assert sum(sym_mult_sp_direct(k, lam) != 0 for k, lam in _SYM_GRID) > 300
+
+
+def test_stable_sym_duality_catches_a_dropped_conjugation(monkeypatch):
+    """Mutation: with the conjugation dropped, sp reads so at lam itself,
+    and the comparison of test_stable_sym_duality fails."""
+    module = importlib.import_module("qweyl.branching")
+    _sym_mult.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_conjugate", lambda lam: lam)
+            mismatches = _sp_mismatches()
+    finally:
+        _sym_mult.cache_clear()
+    assert len(mismatches) > 100
+    assert not _sp_mismatches()
+
+
+def test_sp_harmonics_add_no_littlewood_call_once_so_is_warm(monkeypatch):
+    """harmonic_coeff_stable("sp", k, lam) reads the so multiplicities at
+    lam': once those are warm it makes no branching or lr_coefficient call
+    and adds no lr_cache entry, while the cold so queries reach both."""
+    module = importlib.import_module("qweyl.branching")
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("branching", "lr_coefficient"):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    k = 6
+    shapes = enumerate_partitions(2 * k + 2)
+    _sym_mult.cache_clear()
+    so = {lam: harmonic_coeff_stable("so", k, conjugate(lam)) for lam in shapes}
+    assert calls["branching"] and calls["lr_coefficient"], calls
+    calls.clear()
+    entries = len(lr_cache)
+    assert {lam: harmonic_coeff_stable("sp", k, lam) for lam in shapes} == so
+    assert not calls and len(lr_cache) == entries, calls
 
 
 def test_stable_matches_finite_in_stable_range():

@@ -6,6 +6,7 @@ import pytest
 
 from qweyl.partitions import (
     _box_tuples,
+    _conjugate,
     add_horizontal_strips,
     check_partition,
     conjugate,
@@ -59,12 +60,16 @@ def test_conjugate_examples():
     assert conjugate((3, 1)) == (2, 1, 1)
     assert conjugate(()) == ()
     assert conjugate((2, 2)) == (2, 2)
+    # conjugate normalises its input, then runs the unchecked _conjugate
+    assert conjugate([3, 1, 0]) == _conjugate((3, 1)) == (2, 1, 1)
     with pytest.raises(ValueError, match=re.escape("(1, 2)")):
         conjugate((1, 2))
 
 
 @given(partitions)
 def test_conjugate_is_involution(p):
+    # column j of the diagram has #{i : p_i > j} boxes
+    assert conjugate(p) == tuple(sum(x > j for x in p) for j in range(p[0] if p else 0))
     assert conjugate(conjugate(p)) == p
     assert weight(conjugate(p)) == weight(p)
 

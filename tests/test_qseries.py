@@ -33,6 +33,33 @@ def test_non_integral_degree_or_coefficient_rejected():
             make()
 
 
+def test_bool_degree_coefficient_factor_shift_or_multiplier_rejected():
+    # a bool is an int to Python, but no degree, coefficient, factor,
+    # shift or multiplier of a series, as it is no bound either
+    one = QSeries.one(3)
+    for make in (
+        lambda: QSeries({True: 2}),
+        lambda: QSeries({0: True}),
+        lambda: QSeries([(0, False)]),
+        lambda: QSeries.monomial(1, True),
+        lambda: QSeries.combination([(True, 0, one)]),
+        lambda: QSeries.combination([(1, True, one)]),
+        lambda: one.shift(True),
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            make()
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="scale factor must be an integer"):
+            one.scale(bad)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            one.div_one_minus_qm(bad)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        one.div_one_minus_qm(1.0)
+    # nor is a bool equal to a series, though the int 1 is
+    assert QSeries.one() != True  # noqa: E712
+    assert QSeries.one() == 1
+
+
 def test_series_are_unhashable():
     # equal to the int 1 yet mutable through coeffs: no hash can keep the
     # hash/eq contract, so a series is never a dict key or a set member
