@@ -96,8 +96,9 @@ def qprime_expansion(family: str, mu: Partition, D: int) -> CharExpansion:
     mu = check_partition(mu)
     check_bound(D, "D")
     terms: dict[Partition, QSeries] = {}
-    # K_{lambda,mu} = 0 for |lambda| < |mu|
-    for size in range(weight(mu), weight(mu) + 2 * D + 1):
+    # K_{lambda,mu} = 0 for |lambda| < |mu| and for |lambda| - |mu| odd,
+    # the support of the module docstring
+    for size in range(weight(mu), weight(mu) + 2 * D + 1, 2):
         for lam in enumerate_partitions(size, exact_weight=size):
             packed, _, series = _k_limit(family, lam, mu, D)
             if packed:

@@ -10,8 +10,9 @@ recurrence engine.
 A table holds each P_q(beta) as one packed integer, coefficient k in
 bits [k w, (k + 1) w): the Kronecker substitution q -> 2^w, under which
 a sum of polynomials is one integer addition (qweyl.qseries holds the
-packing helpers the stable engine shares).  `pq_width` picks a slot
-width w that no coefficient reaches, so the packing is exact.
+packing helpers, and the one slot reader, the stable engine shares).
+`pq_width` picks a slot width w with every coefficient below 2^(w-1),
+so each slot reads back exactly.
 
 K_{lambda,mu}(q) = sum over the Weyl group of sign(w) * P_q(w o lambda - mu).
 `k_direct` sums over the elements `weyl_iter` keeps when it prunes those
@@ -34,7 +35,7 @@ from itertools import accumulate
 from math import comb
 
 from .partitions import Partition, integral_parts, padded
-from .qseries import QSeries, _unpack
+from .qseries import QSeries, _unpack_signed
 from .rootsystems import RootSystem, check_dominant, dot_action, weyl_iter
 
 
@@ -48,7 +49,7 @@ def _height(beta: tuple[int, ...]) -> int:
 def pq_width(rs: RootSystem, height: int) -> int:
     """Slot width, a power of two >= 64, that holds every coefficient of
     P_q(beta) for beta of height h(beta) <= height, at rank rs.rank and
-    below.
+    below, with a sign bit to spare.
 
     Proof.  The coefficient of q^k counts multisets of k of the N
     positive roots summing to beta, so it is >= 0 and at most the number
@@ -58,15 +59,16 @@ def pq_width(rs: RootSystem, height: int) -> int:
     every coefficient is < 2^b with b the bit length of
     C(N + height - 1, height).  Every partial sum the table forms is a
     sum of nonnegative parts of one such coefficient, so no slot carries
-    into the next.  The width is rounded up to a power of two so that
-    queries share tables.
+    into the next.  The width w is a power of two > b, so that queries
+    share tables, and every coefficient is < 2^(w-1): the signed reader
+    qseries._unpack_signed reads it back.
     """
     n = rs.rank
     roots = n * n if rs.kind != "D" else n * (n - 1)
     height = max(height, 0)
     bits = comb(roots + height - 1, height).bit_length()
     width = 64
-    while width < bits:
+    while width <= bits:
         width *= 2
     return width
 
@@ -123,7 +125,7 @@ class QKostantTable:
             return {}
         if self.kind in ("C", "D") and sum(beta) % 2:
             return {}
-        return _unpack(self._rec(beta), self.width)
+        return _unpack_signed(self._rec(beta), self.width)
 
     def _rec(self, beta: tuple[int, ...]) -> int:
         """Packed P_q(beta) for beta with nonnegative prefix sums.

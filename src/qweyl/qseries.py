@@ -14,7 +14,8 @@ sum c_d 2^(d w), slot d of width w bits holding c_d (the substitution
 q -> 2^w; D. Harvey, J. Symbolic Comput. 44 (2009)).  Integer addition
 and multiplication of packed values are exact whatever the
 coefficients; only reading a slot back needs each coefficient to fit in
-its slot, which every caller proves for its width.
+its slot, |c| < 2^(w-1) (one bit of the slot is the sign), which every
+caller proves for its width.  `_unpack_signed` is the one reader.
 """
 
 __all__ = ["QSeries"]
@@ -95,12 +96,13 @@ class QSeries:
         return out
 
     @staticmethod
-    def _trusted(pairs, trunc: int | None) -> "QSeries":
-        """The series of (degree, coefficient) pairs that already pass the
-        constructor's checks at bound trunc (distinct integer degrees in
-        [0, trunc], nonzero integer coefficients), so none runs."""
+    def _trusted(coeffs: dict[int, int], trunc: int | None) -> "QSeries":
+        """The series that takes over coeffs, a fresh {degree: coefficient}
+        dict that already passes the constructor's checks at bound trunc
+        (integer degrees in [0, trunc], nonzero integer coefficients), so
+        none runs; the caller keeps no other reference to it."""
         series = object.__new__(QSeries)
-        series.coeffs = dict(pairs)
+        series.coeffs = coeffs
         series.trunc = trunc
         return series
 
@@ -217,21 +219,6 @@ def _pack(pairs, width: int) -> int:
     return sum(c << d * width for d, c in pairs)
 
 
-def _unpack(packed: int, width: int) -> dict[int, int]:
-    """{k: slot k} of a packed polynomial whose coefficients are all in
-    [0, 2^width), nonzero slots only."""
-    mask = (1 << width) - 1
-    out = {}
-    k = 0
-    while packed:
-        c = packed & mask
-        if c:
-            out[k] = c
-        packed >>= width
-        k += 1
-    return out
-
-
 def _low_slots(packed: int, width: int, slots: int) -> int:
     """The packed polynomial cut to its slots 0 .. slots-1 (mod q^slots),
     read as a balanced residue of packed mod 2^(width slots).
@@ -247,21 +234,22 @@ def _low_slots(packed: int, width: int, slots: int) -> int:
     return low - (1 << top) if low >> (top - 1) else low
 
 
-def _unpack_signed(packed: int, width: int) -> list[tuple[int, int]]:
-    """Sorted (k, slot k) pairs of a packed polynomial whose coefficients
-    all have |c| < 2^(width-1), nonzero slots only: the balanced digits
-    of packed in base 2^width, each in [-2^(width-1), 2^(width-1))."""
+def _unpack_signed(packed: int, width: int) -> dict[int, int]:
+    """{k: slot k} of a packed polynomial whose coefficients all have
+    |c| < 2^(width-1), nonzero slots only, in increasing k: the balanced
+    digits of packed in base 2^width, each in [-2^(width-1), 2^(width-1))."""
     mask = (1 << width) - 1
     half = 1 << (width - 1)
-    out = []
+    out = {}
     k = 0
     while packed:
         c = packed & mask
-        if c >= half:
-            c -= 1 << width
+        packed >>= width
         if c:
-            out.append((k, c))
-        # exact: packed - c is a multiple of 2^width
-        packed = (packed - c) >> width
+            if c >= half:
+                # a negative slot borrowed 2^width from the rest: carry it back
+                c -= 1 << width
+                packed += 1
+            out[k] = c
         k += 1
     return out

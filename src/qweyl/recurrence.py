@@ -115,9 +115,40 @@ def _k_finite(kind: str, n: int, nu_w: tuple, mu_w: tuple) -> QSeries:
     return QSeries.combination(terms)
 
 
+# Ranks one call of _k_finite may descend.  Each rank costs it two
+# interpreter frames (the body and its cache), a type-D mirror key two
+# more, so a span of 200 stays inside the default recursion limit of 1000.
+_SPAN = 200
+
+
 def k_recurrence_finite(rs: RootSystem, nu: Partition, mu: Partition) -> QSeries:
-    """K_{nu,mu}(q) at finite rank via the rank-lowering recurrence."""
-    return _k_finite(rs.kind, rs.rank, check_dominant(rs, nu), check_dominant(rs, mu))
+    """K_{nu,mu}(q) at finite rank via the rank-lowering recurrence.
+
+    Above _SPAN ranks the memo is filled from below first, so that no call
+    of _k_finite descends more than _SPAN ranks: the keys of every rank
+    are collected top-down, and _k_finite runs on those of every _SPAN-th
+    rank under n, the lowest rank first."""
+    kind, n = rs.kind, rs.rank
+    nu, mu = check_dominant(rs, nu), check_dominant(rs, mu)
+    if n > _SPAN:
+        # keys: those of rank m, down to the lowest boundary, in (0, _SPAN]
+        lowest = (n - 1) % _SPAN + 1
+        keys, boundaries = {(nu, mu)}, []
+        for m in range(n, lowest, -1):
+            children = set()
+            for nu_w, mu_w in keys:
+                if nu_w and nu_w[-1] < 0:
+                    nu_w, mu_w = diagram_flip(kind, m, nu_w), diagram_flip(kind, m, mu_w)
+                for _, _, gamma, r in _step(kind == "C", nu_w, mu_w[0] if mu_w else 0):
+                    for lam, _ in _finite_pieri(kind, m - 1, gamma, r):
+                        children.add((lam, mu_w[1:]))
+            keys = children
+            if (n - m + 1) % _SPAN == 0:
+                boundaries.append((m - 1, keys))
+        for m, level in reversed(boundaries):
+            for nu_w, mu_w in level:
+                _k_finite(kind, m, nu_w, mu_w)
+    return _k_finite(kind, n, nu, mu)
 
 
 def k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
@@ -202,8 +233,8 @@ def _pooled(packed: int, D: int) -> tuple[int, int, QSeries]:
     """The one entry (packed, max |coefficient|, QSeries) of a stable value
     mod q^{D+1}, packed as `_fit` leaves it; each distinct value is
     decoded here once, and every memo entry equal to it is this tuple."""
-    pairs = _unpack_signed(packed, _WIDTH)
-    return packed, max((abs(c) for _, c in pairs), default=0), QSeries._trusted(pairs, D)
+    coeffs = _unpack_signed(packed, _WIDTH)
+    return packed, max(map(abs, coeffs.values()), default=0), QSeries._trusted(coeffs, D)
 
 
 @cache

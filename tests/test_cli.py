@@ -129,9 +129,6 @@ def test_usage_errors(capsys):
         ("verify", "--suite", "stability", "--max-k", "-3"),
         # a grid with no check in it
         ("verify", "--suite", "stability", "--max-weight", "0", "--max-k", "0"),
-        # a rank past the depth of the Python stack
-        ("k", "--type", "B", "--rank", "1000", "--lam", "1"),
-        ("k", "--type", "B", "--rank", "1000", "--lam", "1", "--method", "recurrence"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
@@ -145,6 +142,15 @@ def test_recurrence_reaches_rank_260(capsys):
     code, out, _ = run(capsys, "k", "--type", "B", "--rank", "260", "--lam", "1")
     assert code == 0
     assert out.strip() == "q^260"
+
+
+def test_recurrence_runs_past_the_depth_of_the_python_stack(capsys):
+    # rank 1000 once was a usage error (RecursionError); the recurrence
+    # now fills its memo from below first and has no rank limit
+    for argv in (("k", "--type", "B", "--rank", "1000", "--lam", "1"),
+                 ("k", "--type", "B", "--rank", "1000", "--lam", "1", "--method", "recurrence")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out.strip(), err) == (0, "q^1000", ""), argv
 
 
 def test_cache_option_is_gone(capsys):

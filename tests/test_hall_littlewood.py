@@ -87,8 +87,9 @@ def test_qprime_support_bound():
 
 
 def test_qprime_expansion_skips_lambda_lighter_than_mu(monkeypatch):
-    # K_{lambda,mu} = 0 for |lambda| < |mu|: no top-level lookup asks for
-    # one, and the expansion is that of every lambda up to |mu| + 2D
+    # K_{lambda,mu} = 0 for |lambda| < |mu| and for |lambda| - |mu| odd:
+    # no top-level lookup asks for one, and the expansion is that of every
+    # lambda up to |mu| + 2D
     mu, D = (3, 3, 2), 3
     keys = []
 
@@ -102,9 +103,28 @@ def test_qprime_expansion_skips_lambda_lighter_than_mu(monkeypatch):
         ex = qprime_expansion(family, mu, D)
         assert keys and all(weight(lam) >= weight(mu) for lam, _ in keys)
         assert {lam for lam, _ in keys} == {
-            lam for lam in enumerate_partitions(weight(mu) + 2 * D) if weight(lam) >= weight(mu)}
+            lam for lam in enumerate_partitions(weight(mu) + 2 * D)
+            if weight(lam) >= weight(mu) and (weight(lam) - weight(mu)) % 2 == 0}
+        assert len(keys) == 276
         assert ex.terms == {lam: s for lam in enumerate_partitions(weight(mu) + 2 * D)
                             if (s := k_limit(family, lam, mu, D))}
+
+
+def test_qprime_expansion_equals_the_unstepped_loop():
+    # the expansion steps |lambda| by 2 from |mu|; the loop over every
+    # size from |mu| to |mu| + 2D finds the same terms, and K_{lambda,mu}
+    # is 0 at every lambda the step skips
+    for family in ("so", "sp"):
+        for mu in ((), (1,), (2, 1), (1, 1, 1), (3, 1)):
+            for D in (0, 1, 2, 4):
+                unstepped = {}
+                for size in range(weight(mu), weight(mu) + 2 * D + 1):
+                    for lam in enumerate_partitions(size, exact_weight=size):
+                        series = k_limit(family, lam, mu, D)
+                        assert not (series and (size - weight(mu)) % 2), (family, lam, mu)
+                        if series:
+                            unstepped[lam] = series
+                assert qprime_expansion(family, mu, D).terms == unstepped, (family, mu, D)
 
 
 def test_truncated_k_matrix_is_an_unhashable_value():

@@ -14,7 +14,7 @@ import pytest
 from qweyl.partitions import dominates, enumerate_partitions, padded, weight
 from qweyl.qkostant import (QKostantTable, _direct_table, _table, k_direct, pq_width,
                             q_kostant, weight_multiplicity)
-from qweyl.qseries import QSeries, _unpack
+from qweyl.qseries import QSeries, _unpack_signed
 from qweyl.rootsystems import (
     RootSystem,
     dot_action,
@@ -196,7 +196,7 @@ def _packed_against_dict_peel():
                     want = _dict_rank_one(kind, beta[0])
                 else:
                     want = dict_peel(kind, beta, memo, cut)
-                assert _unpack(packed, tab.width) == want, (kind, beta)
+                assert _unpack_signed(packed, tab.width) == want, (kind, beta)
                 assert tab.pq_coeffs(beta) == want, (kind, beta)
     return states, cut
 
@@ -235,7 +235,7 @@ def test_pq_width_bounds_every_coefficient():
                 width = pq_width(rs, h)
                 assert max(poly) <= h, (rs, beta)
                 assert max(poly.values()) <= bound, (rs, beta)
-                assert bound.bit_length() <= width and width >= 64 and not width & (width - 1)
+                assert bound.bit_length() < width and width >= 64 and not width & (width - 1)
                 largest = max(largest, *poly.values())
     assert largest >= 20
     # the width grows past 64 bits where the bound needs it
@@ -265,7 +265,7 @@ def test_every_state_k_direct_fills_fits_its_width():
                     tab = _direct_table(rs, lam, mu)
                     for beta, packed in tab.memo.items():
                         assert _height(beta) <= top, (rs, lam, mu, beta)
-                        coeffs = _unpack(packed, tab.width).values()
+                        coeffs = _unpack_signed(packed, tab.width).values()
                         assert max(coeffs, default=0).bit_length() <= bits
                         checked += 1
     _table.cache_clear()
@@ -274,13 +274,14 @@ def test_every_state_k_direct_fills_fits_its_width():
 
 def test_a_narrow_width_decodes_wrongly():
     # P_q(4, 2, 0) in B3 has the coefficient 55, six bits: four-bit slots
-    # carry into each other, while the width of the bound decodes exactly
+    # carry into each other, while the width of the bound and a sign bit
+    # decodes exactly
     B3, beta = RootSystem("B", 3), (4, 2, 0)
     want = q_kostant(B3, beta).coeffs
     assert max(want.values()) == 55
     assert QKostantTable("B", 4).pq_coeffs(beta) != want
     bits = comb(9 + 16 - 1, 16).bit_length()
-    assert QKostantTable("B", bits).pq_coeffs(beta) == want
+    assert QKostantTable("B", bits + 1).pq_coeffs(beta) == want
     assert QKostantTable("B", 64).pq_coeffs(beta) == want
 
 

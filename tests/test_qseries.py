@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -186,20 +188,90 @@ def test_balanced_packing_round_trips(width, data):
     coeffs = data.draw(st.lists(st.integers(1 - half, half - 1), max_size=8))
     pairs = [(d, c) for d, c in enumerate(coeffs) if c]
     packed = _pack(pairs, width)
-    assert _unpack_signed(packed, width) == pairs
+    assert list(_unpack_signed(packed, width).items()) == pairs
     slots = data.draw(st.integers(1, 9))
     above = data.draw(st.integers(-(1 << 300), 1 << 300)) << (slots * width)
-    assert _unpack_signed(_low_slots(packed + above, width, slots), width) == [
+    assert list(_unpack_signed(_low_slots(packed + above, width, slots), width).items()) == [
         (d, c) for d, c in pairs if d < slots]
+
+
+def _signed_cases(width, rng):
+    """Coefficient lists for slots of `width` bits: the edges 2^(width-1) - 1
+    and -2^(width-1) of a slot, runs of zero slots, a negative top slot,
+    and random coefficients of both signs.  The first cases pack to
+    positive integers, so that a reader that loses the sign fails on
+    them before it meets a negative one."""
+    half = 1 << (width - 1)
+    edges = [half - 1, 1 - half, -half, 1, -1]
+    cases = [[-1, 1], [-half, 0, 1]] + [[e] for e in edges] + [
+        [half - 1, 0, 0, -half],
+        [-half, 0, half - 1, 0, 0, 1 - half],
+        [0, 0, -1],
+        [-1, 0, 0, 0, half - 1],
+        [0, -half, 0, 1],
+    ]
+    for _ in range(40):
+        cases.append([rng.choice(edges + [0, 0, rng.randint(-half, half - 1)])
+                      for _ in range(rng.randint(1, 9))])
+    return cases
+
+
+def test_unpack_signed_round_trips_every_edge():
+    # every coefficient in [-2^(width-1), 2^(width-1)), the balanced digits
+    # of a slot, is read back in slot order, zero slots are skipped, and a
+    # negative top slot leaves a negative packed integer that the reader
+    # still ends on
+    rng = random.Random(7)
+    for width in (2, 3, 8, 63, 64, 65, 128):
+        for coeffs in _signed_cases(width, rng):
+            pairs = [(d, c) for d, c in enumerate(coeffs) if c]
+            got = _unpack_signed(_pack(pairs, width), width)
+            assert list(got.items()) == pairs, (width, coeffs)
+
+
+def _reader_without_carry(packed, width):
+    """_unpack_signed with its carry left out: a negative slot's borrow is
+    not returned to the slots above.  Reads at most 64 slots, since
+    without the carry a negative packed integer never reaches 0."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    out = {}
+    for k in range(64):
+        if not packed:
+            break
+        c = packed & mask
+        packed >>= width
+        if c:
+            out[k] = c - (1 << width) if c >= half else c
+    return out
+
+
+def test_the_round_trip_catches_a_reader_without_the_carry():
+    # the mutant agrees on nonnegative slots, so only the negative ones
+    # in the edge cases can tell it apart; it misreads some of them
+    rng = random.Random(7)
+    wrong = 0
+    for width in (2, 8, 64):
+        for coeffs in _signed_cases(width, rng):
+            want = {d: c for d, c in enumerate(coeffs) if c}
+            packed = _pack(want.items(), width)
+            assert _unpack_signed(packed, width) == want
+            if all(c >= 0 for c in coeffs):
+                assert _reader_without_carry(packed, width) == want
+            wrong += _reader_without_carry(packed, width) != want
+    assert wrong > 20
+    # the smallest case: -1 then 1 packs to 2^width - 1, which the mutant
+    # reads as one slot of -1
+    assert _reader_without_carry(_pack([(0, -1), (1, 1)], 8), 8) == {0: -1}
+    assert _unpack_signed(_pack([(0, -1), (1, 1)], 8), 8) == {0: -1, 1: 1}
 
 
 def test_balanced_packing_bound_is_tight():
     # a coefficient of 2^(width-1) no longer fits its slot
     for width in (2, 8, 64):
         half = 1 << (width - 1)
-        assert _unpack_signed(_pack([(0, half - 1), (1, 1 - half)], width), width) == [
-            (0, half - 1), (1, 1 - half)]
-        assert _unpack_signed(_pack([(0, half)], width), width) != [(0, half)]
+        assert _unpack_signed(_pack([(0, half - 1), (1, 1 - half)], width), width) == {
+            0: half - 1, 1: 1 - half}
+        assert _unpack_signed(_pack([(0, half)], width), width) != {0: half}
 
 
 # Reference operators: the dict loops each QSeries operator ran before all

@@ -15,7 +15,7 @@ from qweyl.branching import harmonic_coeff_stable, specialise
 from qweyl.hall_littlewood import k_matrix, p_basis_matrix
 from qweyl.partitions import dominates, enumerate_partitions, padded, weight
 from qweyl.pieri import _pieri_support, pieri_expand
-from qweyl.qkostant import _table, k_direct, weight_multiplicity
+from qweyl.qkostant import _direct_table, _table, k_direct, weight_multiplicity
 from qweyl.qseries import QSeries, _unpack_signed
 from qweyl.recurrence import (
     brylinski_dims,
@@ -84,6 +84,59 @@ def test_recurrence_matches_direct_sum_high_rank(n, max_weight):
             for mu in enumerate_partitions(weight(nu)):
                 if dominates(nu, mu):
                     assert k_recurrence_finite(rs, nu, mu) == k_direct(rs, nu, mu), (rs, nu, mu)
+
+
+def test_recurrence_matches_direct_sum_on_128_bit_tables():
+    # these queries read P_q tables of 128-bit slots through the signed
+    # reader, and k_direct still equals the recurrence
+    _table.cache_clear()
+    for kind, n, nu in (("B", 9, (2,)), ("C", 9, (2,)), ("D", 8, (2, 1, 1))):
+        rs = RootSystem(kind, n)
+        assert _direct_table(rs, nu, ()).width == 128
+        direct = k_direct(rs, nu, ())
+        assert direct and direct == k_recurrence_finite(rs, nu, ()), (rs, nu)
+    _table.cache_clear()
+
+
+def test_recurrence_has_no_rank_limit():
+    # _k_finite descends one rank per call; far above the recursion limit
+    # the memo is filled from below first.  K_{lam,0} is q^n for the
+    # vector representation (1) of B_n, and for the adjoint representations
+    # (1, 1) of D_n and (2) of C_n it is the sum of q^e over the exponents
+    # e of the algebra (Kostant): 1, 3, ..., 2n - 3 and n - 1 for D_n;
+    # 1, 3, ..., 2n - 1 for C_n
+    assert k_recurrence_finite(RootSystem("B", 2000), (1,), ()) == QSeries.monomial(2000)
+    n = 450
+    assert k_recurrence_finite(RootSystem("D", n), (1, 1), ()) == QSeries(
+        [(2 * i - 1, 1) for i in range(1, n)] + [(n - 1, 1)])
+    assert k_recurrence_finite(RootSystem("C", n), (2,), ()) == QSeries(
+        {2 * i - 1: 1 for i in range(1, n + 1)})
+
+
+def test_the_span_pass_equals_plain_recursion(monkeypatch):
+    # with a span of 1, 2 or 3 ranks every query runs the bottom-up pass,
+    # and gets the value of plain recursion (type-D mirror weights
+    # included); the pass fills the memo with exactly as many keys
+    cases = []
+    for kind in "BCD":
+        for n in (3, 4, 5):
+            rs = RootSystem(kind, n)
+            weights = [p for p in enumerate_partitions(4) if len(p) <= n]
+            if kind == "D":
+                weights += [p[:-1] + (-p[-1],) for p in weights if len(p) == n]
+            for nu in weights:
+                for mu in weights:
+                    if sum(map(abs, mu)) <= sum(map(abs, nu)):
+                        cases.append((rs, nu, mu))
+    _k_finite.cache_clear()
+    plain = [k_recurrence_finite(rs, nu, mu) for rs, nu, mu in cases]
+    keys = _k_finite.cache_info().currsize
+    for span in (1, 2, 3):
+        monkeypatch.setattr(recurrence, "_SPAN", span)
+        _k_finite.cache_clear()
+        assert [k_recurrence_finite(rs, nu, mu) for rs, nu, mu in cases] == plain, span
+        assert _k_finite.cache_info().currsize == keys, span
+    _k_finite.cache_clear()
 
 
 def test_recurrence_validates_shapes():
@@ -463,7 +516,7 @@ def test_every_bound_handed_to_fit_holds(monkeypatch, empty_stable_memo):
 
     def checked(packed, bound, D):
         out = fit(packed, bound, D)
-        calls.append((max((abs(c) for _, c in _unpack_signed(out, recurrence._WIDTH)), default=0),
+        calls.append((max(map(abs, _unpack_signed(out, recurrence._WIDTH).values()), default=0),
                       bound))
         return out
 
