@@ -230,17 +230,12 @@ def sym_mult_finite(rs: RootSystem, k: int, lam: Partition) -> int:
 
 
 def euler_factor_coeffs(degs: list[int], bound: int) -> dict[int, int]:
-    """Coefficients of prod_d (1 - q^d) over the given degrees, up to bound."""
-    cc = {0: 1}
+    """Coefficients of prod_d (1 - q^d) over the given degrees, up to bound
+    (an integer >= 0), as {degree: coefficient}, nonzero ones only."""
+    p = QSeries.one(bound)
     for d in degs:
-        if d > bound:
-            continue
-        nxt = dict(cc)
-        for e, c in cc.items():
-            if e + d <= bound:
-                nxt[e + d] = nxt.get(e + d, 0) - c
-        cc = {e: c for e, c in nxt.items() if c}
-    return cc
+        p = QSeries.combination([(1, 0, p), (-1, d, p)])
+    return p.coeffs
 
 
 def harmonic_coeff_stable(family: str, k: int, lam: Partition) -> int:

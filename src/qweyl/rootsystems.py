@@ -123,12 +123,14 @@ def positive_roots(rs: RootSystem) -> list[Weight]:
 
 @cache
 def rho_doubled(rs: RootSystem) -> Weight:
-    total = [0] * rs.rank
-    for r in positive_roots(rs):
-        for i, c in enumerate(r):
-            total[i] += c
-    assert all(c % 2 == 0 for c in total)
-    return tuple(c // 2 for c in total)
+    """2 rho, the sum of the positive roots: 2n-1, 2n-3, ..., 1 (B),
+    2n, 2n-2, ..., 2 (C) or 2n-2, 2n-4, ..., 0 (D).  Coordinate i (from 0)
+    gets 1 from each of the 2(n-1-i) roots e_i -+ e_j (j > i), while
+    e_j - e_i and e_j + e_i (j < i) cancel; B adds 1 for e_i and C adds 2
+    for 2e_i."""
+    n = rs.rank
+    top = {"B": 2 * n - 1, "C": 2 * n, "D": 2 * n - 2}[rs.kind]
+    return tuple(range(top, top - 2 * n, -2))
 
 
 def rho(rs: RootSystem) -> tuple:
@@ -221,17 +223,26 @@ def degrees(rs: RootSystem) -> list[int]:
 
 
 def weyl_dim(rs: RootSystem, lam) -> int:
-    """dim V(lam) by the Weyl dimension formula (exact rational arithmetic)."""
-    from fractions import Fraction
+    """dim V(lam) by the Weyl dimension formula, the product over the
+    positive roots alpha of <lam + rho, alpha> / <rho, alpha>, in exact
+    integers.
 
+    With v = 2(lam + rho) and r = 2 rho, the pair e_i - e_j, e_i + e_j
+    (i < j) gives (v_i^2 - v_j^2) / (r_i^2 - r_j^2), and e_i (B) or 2e_i
+    (C) gives v_i / r_i.  Past l(lam), v equals r, so every factor whose
+    indices all lie there is 1 and is skipped."""
+    lam = check_dominant(rs, lam)
     n = rs.rank
     rd = rho_doubled(rs)
-    lp = padded(check_dominant(rs, lam), n)
-    num = tuple(2 * a + r for a, r in zip(lp, rd))
-    val = Fraction(1)
-    for alpha in positive_roots(rs):
-        top = sum(a * b for a, b in zip(num, alpha))
-        bot = sum(a * b for a, b in zip(rd, alpha))
-        val *= Fraction(top, bot)
-    assert val.denominator == 1 and val > 0
-    return int(val)
+    v = [2 * a + r for a, r in zip(padded(lam, n), rd)]
+    num = den = 1
+    for i in range(len(lam)):
+        for j in range(i + 1, n):
+            num *= v[i] * v[i] - v[j] * v[j]
+            den *= rd[i] * rd[i] - rd[j] * rd[j]
+        if rs.kind != "D":
+            num *= v[i]
+            den *= rd[i]
+    dim, rem = divmod(num, den)
+    assert not rem and dim > 0
+    return dim

@@ -317,6 +317,34 @@ def test_sym_char_stable_expansion():
 def test_euler_factor_coeffs():
     assert euler_factor_coeffs([], 5) == {0: 1}
     assert euler_factor_coeffs([2, 4], 6) == {0: 1, 2: -1, 4: -1, 6: 1}
+    for bound in (-1, True, 2.0):
+        with pytest.raises(ValueError):
+            euler_factor_coeffs([2], bound)
+
+
+def _euler_factor_by_dicts(degs, bound):
+    """prod_d (1 - q^d) up to q^bound, one {degree: coefficient} dict
+    merge per degree: the loop euler_factor_coeffs ran before it built a
+    QSeries."""
+    cc = {0: 1}
+    for d in degs:
+        if d > bound:
+            continue
+        nxt = dict(cc)
+        for e, c in cc.items():
+            if e + d <= bound:
+                nxt[e + d] = nxt.get(e + d, 0) - c
+        cc = {e: c for e, c in nxt.items() if c}
+    return cc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 12), max_size=8), st.integers(0, 30))
+def test_euler_factor_equals_the_dict_loop(degs, bound):
+    got = euler_factor_coeffs(degs, bound)
+    want = _euler_factor_by_dicts(degs, bound)
+    # the same pairs in the same order
+    assert list(got.items()) == list(want.items())
 
 
 def test_harmonic_stable_kills_invariants():

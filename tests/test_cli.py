@@ -153,6 +153,16 @@ def test_recurrence_runs_past_the_depth_of_the_python_stack(capsys):
         assert (code, out.strip(), err) == (0, "q^1000", ""), argv
 
 
+def test_direct_method_past_the_depth_of_the_python_stack_is_a_usage_error(capsys):
+    # weyl_iter spends one generator frame per rank: the Weyl sum
+    # at rank 1000 stops at the recursion limit with exit 2 and one line,
+    # not a traceback
+    code, out, err = run(capsys, "k", "--type", "B", "--rank", "1000", "--lam", "1",
+                         "--method", "direct")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "recursion" in err and len(err.splitlines()) == 1, err
+
+
 def test_cache_option_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--cache", "memo.bin", "k", "--type", "C", "--rank", "2", "--lam", "2"])

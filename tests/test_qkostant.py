@@ -197,7 +197,7 @@ def _packed_against_dict_peel():
                 else:
                     want = dict_peel(kind, beta, memo, cut)
                 assert _unpack_signed(packed, tab.width) == want, (kind, beta)
-                assert tab.pq_coeffs(beta) == want, (kind, beta)
+                assert _unpack_signed(tab.pq_coeffs(beta), tab.width) == want, (kind, beta)
     return states, cut
 
 
@@ -222,8 +222,9 @@ def _height(v):
 
 def test_pq_width_bounds_every_coefficient():
     # brute force: P_q by the product expansion, at every beta of height
-    # <= 12 in ranks 2-3; degree k <= h(beta) and coefficient
-    # <= C(N + h - 1, h), whose bit length pq_width covers
+    # <= 12 in ranks 2-3; degree k <= h(beta), each coefficient
+    # <= C(N + h - 1, h), and their sum <= sum_{k <= h} C(N + k - 1, k)
+    # = C(N + h, h), whose bit length pq_width covers
     largest = 0
     for kind in "BCD":
         for n in (2, 3):
@@ -231,10 +232,11 @@ def test_pq_width_bounds_every_coefficient():
             roots = len(positive_roots(rs))
             for beta, poly in pq_product(rs, 12).items():
                 h = _height(beta)
-                bound = comb(roots + h - 1, h)
+                bound = comb(roots + h, h)
                 width = pq_width(rs, h)
                 assert max(poly) <= h, (rs, beta)
-                assert max(poly.values()) <= bound, (rs, beta)
+                assert max(poly.values()) <= comb(roots + h - 1, h), (rs, beta)
+                assert sum(poly.values()) <= bound, (rs, beta)
                 assert bound.bit_length() < width and width >= 64 and not width & (width - 1)
                 largest = max(largest, *poly.values())
     assert largest >= 20
@@ -243,6 +245,10 @@ def test_pq_width_bounds_every_coefficient():
     assert comb(64 + 43, 44).bit_length() > 64
     assert pq_width(B8, 44) == 128 == _direct_table(B8, (3, 2, 1), ()).width
     assert pq_width(B8, -3) == pq_width(B8, 0) == 64
+    # the width follows C(N + h, h), the bound on K: at B6, h = 31,
+    # C(66, 31) fits in 63 bits but C(67, 31) needs 64
+    assert comb(36 + 31 - 1, 31).bit_length() == 63 and comb(36 + 31, 31).bit_length() == 64
+    assert pq_width(RootSystem("B", 6), 31) == 128
 
 
 def test_every_state_k_direct_fills_fits_its_width():
@@ -272,6 +278,30 @@ def test_every_state_k_direct_fills_fits_its_width():
     assert checked > 1000
 
 
+def test_k_direct_stays_inside_the_verma_bound():
+    # the two facts behind the width k_direct decodes K in (pq_width):
+    # every coefficient of K is >= 0, and K(1) = dim V(lam)_mu is at most
+    # P_q(lam - mu) at q = 1, dim M(lam)_mu, itself <= C(N + h, h)
+    checked = 0
+    for kind in "BCD":
+        for n in (2, 3, 4, 5):
+            rs = RootSystem(kind, n)
+            roots = len(positive_roots(rs))
+            weights = _dominant_weights(kind, n, 4)
+            for lam in weights:
+                for mu in weights:
+                    series = k_direct(rs, lam, mu)
+                    beta = tuple(a - b for a, b in zip(padded(lam, n), padded(mu, n)))
+                    verma = q_kostant(rs, beta)(1)
+                    assert all(c > 0 for c in series.coeffs.values()), (rs, lam, mu)
+                    assert series(1) <= verma, (rs, lam, mu)
+                    if verma:
+                        h = _height(beta)
+                        assert verma <= comb(roots + h, h), (rs, lam, mu)
+                    checked += series(1) > 0
+    assert checked > 500
+
+
 def test_a_narrow_width_decodes_wrongly():
     # P_q(4, 2, 0) in B3 has the coefficient 55, six bits: four-bit slots
     # carry into each other, while the width of the bound and a sign bit
@@ -279,10 +309,10 @@ def test_a_narrow_width_decodes_wrongly():
     B3, beta = RootSystem("B", 3), (4, 2, 0)
     want = q_kostant(B3, beta).coeffs
     assert max(want.values()) == 55
-    assert QKostantTable("B", 4).pq_coeffs(beta) != want
+    assert _unpack_signed(QKostantTable("B", 4).pq_coeffs(beta), 4) != want
     bits = comb(9 + 16 - 1, 16).bit_length()
-    assert QKostantTable("B", bits + 1).pq_coeffs(beta) == want
-    assert QKostantTable("B", 64).pq_coeffs(beta) == want
+    assert _unpack_signed(QKostantTable("B", bits + 1).pq_coeffs(beta), bits + 1) == want
+    assert _unpack_signed(QKostantTable("B", 64).pq_coeffs(beta), 64) == want
 
 
 def test_q_kostant_rejects_non_integral_coordinates():

@@ -1,7 +1,9 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -20,6 +22,10 @@ from qweyl.rootsystems import (
     weyl_iter,
     weyl_order,
 )
+from qweyl import rootsystems
+from qweyl.partitions import enumerate_partitions, padded
+from qweyl.qkostant import k_direct
+from qweyl.recurrence import degree_bounds, k_recurrence_finite
 from weyl_reference import compose, dominant_dot, sign, whole_group
 
 
@@ -177,6 +183,56 @@ def test_weyl_dim():
     assert weyl_dim(RootSystem("D", 4), (1,)) == 8
     assert weyl_dim(RootSystem("D", 4), (1, 1)) == 28
     assert weyl_dim(RootSystem("C", 3), ()) == 1
+
+
+def _rho_by_root_sum(rs):
+    """2 rho as the sum of the positive roots (doubled coordinates, halved)."""
+    return tuple(sum(c) // 2 for c in zip(*positive_roots(rs)))
+
+
+def _weyl_dim_by_root_products(rs, lam):
+    """prod over the positive roots of <lam + rho, alpha> / <rho, alpha>."""
+    rd = _rho_by_root_sum(rs)
+    num = tuple(2 * a + r for a, r in zip(padded(lam, rs.rank), rd))
+    val = Fraction(1)
+    for alpha in positive_roots(rs):
+        val *= Fraction(sum(a * b for a, b in zip(num, alpha)),
+                        sum(a * b for a, b in zip(rd, alpha)))
+    return val
+
+
+def test_closed_form_root_data_equals_the_root_sums():
+    # rho_doubled and weyl_dim read closed forms; the reference sums and
+    # multiplies over positive_roots, mirror weights of type D included
+    cells = 0
+    for kind in "BCD":
+        for n in range(2, 13):
+            rs = RootSystem(kind, n)
+            assert rho_doubled(rs) == _rho_by_root_sum(rs), rs
+            weights = [p for p in enumerate_partitions(6) if len(p) <= n]
+            if kind == "D":
+                weights += [p[:-1] + (-p[-1],) for p in weights if len(p) == n]
+            for lam in weights:
+                assert weyl_dim(rs, lam) == _weyl_dim_by_root_products(rs, lam), (rs, lam)
+                cells += 1
+    assert cells > 800
+
+
+def test_root_data_never_lists_the_roots(monkeypatch):
+    # rank 2000 has 4,000,000 positive roots; the closed forms read none
+    def refuse(rs):
+        raise AssertionError(f"positive_roots({rs}) was called")
+
+    monkeypatch.setattr(rootsystems, "positive_roots", refuse)
+    rho_doubled.cache_clear()
+    B2000 = RootSystem("B", 2000)
+    assert degree_bounds(B2000, (2, 1), (1,)) == (1, 3999)
+    assert weyl_dim(B2000, (1,)) == 4001
+    assert weyl_dim(B2000, (1, 1)) == comb(4001, 2)  # the adjoint module
+    assert weyl_dim(B2000, (3, 2, 1)) > weyl_dim(B2000, (1, 1))
+    B4 = RootSystem("B", 4)
+    assert k_direct(B4, (2, 1), (1,)) == k_recurrence_finite(B4, (2, 1), (1,))
+    rho_doubled.cache_clear()
 
 
 def test_algebra_names():
