@@ -19,6 +19,14 @@ c^nu_{lam,gamma}, and it swaps the even-row and even-column classes, so
 sum over nu even-row, gamma even-column of c^nu_{lam,gamma} (the sp
 multiplicity at lam) is, term by term, sum over nu' even-column, gamma'
 even-row of c^{nu'}_{lam',gamma'} (the so multiplicity at lam').
+
+The stable sums skip the (k, lam) whose every term is 0.  branching(g,
+nu, lam) is 0 unless |nu| - |lam| is even and >= 0, since c^nu_{lam,gamma}
+needs |gamma| = |nu| - |lam| and every gamma of either class has even
+weight.  The S^k(g) sum runs over nu of weight 2k, so the multiplicity is
+0 when |lam| is odd or |lam| > 2k.  The harmonic coefficient at (k, lam)
+sums the multiplicities at k - j, so it reads only those with
+2(k - j) >= |lam|, and none (it is 0) when |lam| is odd or above 2k.
 """
 
 __all__ = [
@@ -129,11 +137,13 @@ def _sym_mult(family: str, k: int, lam: Partition) -> int:
     branching("so", nu, lam).  The sp multiplicity at lam is the so one
     at the conjugate lam' (module docstring): conjugation keeps each
     c^nu_{lam,gamma} and swaps even rows with even columns, so the sp sum
-    over (nu, gamma) is term for term the so sum at lam'."""
+    over (nu, gamma) is term for term the so sum at lam'.  Outside the
+    support (module docstring) it is 0 before any sum runs."""
+    size = weight(lam)
+    if size % 2 or size > 2 * k:
+        return 0
     if family == "sp":
         return _sym_mult("so", k, _conjugate(lam))
-    if weight(lam) > 2 * k:
-        return 0
     total = 0
     for nu in _partitions_in_class(2 * k, "even_columns"):
         if contains(nu, lam):  # branching("so", nu, lam) is 0 otherwise
@@ -170,7 +180,7 @@ def specialise(expansion: dict[Partition, int], kind: str, n: int) -> dict[tuple
     checked: dict[Partition, int] = {}
     for lam, m in expansion.items():
         lam = check_partition(lam)
-        if not isinstance(m, int):
+        if type(m) is not int:
             raise ValueError(f"multiplicity of {lam} must be an integer, got {m!r}")
         checked[lam] = checked.get(lam, 0) + m
     return _specialise(checked, kind, n)
@@ -240,10 +250,21 @@ def euler_factor_coeffs(degs: list[int], bound: int) -> dict[int, int]:
 
 def harmonic_coeff_stable(family: str, k: int, lam: Partition) -> int:
     """Coefficient of q^k s_lam in the stable graded character of the
-    harmonics: prod_{i>=1}(1 - q^{2i}) * char_q(S(g))."""
+    harmonics: prod_{i>=1}(1 - q^{2i}) * char_q(S(g)).  Term j reads
+    S^{k-j}(g) at lam, so only the terms with 2(k - j) >= |lam| are read,
+    and none when |lam| is odd or above 2k (module docstring)."""
     _check_family(family, k)
     lam = check_partition(lam)
-    return sum(c * _sym_mult(family, k - j, lam) for j, c in _stable_euler_factor(k))
+    size = weight(lam)
+    if size % 2:
+        return 0
+    total = 0
+    # the degrees j ascend, and S^{k-j}(g) at lam is 0 once 2(k - j) < |lam|
+    for j, c in _stable_euler_factor(k):
+        if 2 * (k - j) < size:
+            break
+        total += c * _sym_mult(family, k - j, lam)
+    return total
 
 
 @cache

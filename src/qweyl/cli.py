@@ -350,6 +350,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except MemoryError:
+        # its message is empty or a size; the input asked for more than
+        # the process can hold
+        print("error: out of memory (the input is too large for this process)",
+              file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -100,7 +100,7 @@ def qprime_expansion(family: str, mu: Partition, D: int) -> CharExpansion:
     # the support of the module docstring
     for size in range(weight(mu), weight(mu) + 2 * D + 1, 2):
         for lam in enumerate_partitions(size, exact_weight=size):
-            packed, _, series = _k_limit(family, lam, mu, D)
+            packed, _, _, _, series = _k_limit(family, lam, mu, D)
             if packed:
                 terms[lam] = series
     return CharExpansion(family, terms)
@@ -127,7 +127,7 @@ def k_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
             for col in cols:
                 for mu, mu_sums in col:
                     if all(map(ge, sums, mu_sums)):
-                        packed, _, series = _k_limit(family, lam, mu, D)
+                        packed, _, _, _, series = _k_limit(family, lam, mu, D)
                         if packed:
                             entries[(lam, mu)] = series
     return TruncatedKMatrix(family, weight_bound, D, index, entries)
@@ -161,14 +161,12 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
     position = {p: i for i, p in enumerate(solve_order)}
     # cols[position of kappa]: (lowest degree of K[lam, kappa], position
     # of lam, packed K[lam, kappa], sum of its |coefficients|), read from
-    # the memo k_matrix filled, by lowest degree
+    # the pooled entries of the memo k_matrix filled, by lowest degree
     cols: dict[int, list] = {}
     for lam, kappa in km.entries:
         if lam != kappa:
-            packed, _, series = _k_limit(family, lam, kappa, D)
-            coeffs = series.coeffs
-            cols.setdefault(position[kappa], []).append(
-                (min(coeffs), position[lam], packed, sum(map(abs, coeffs.values()))))
+            packed, _, l1, low, _ = _k_limit(family, lam, kappa, D)
+            cols.setdefault(position[kappa], []).append((low, position[lam], packed, l1))
     for col in cols.values():
         col.sort()
     inv: dict[tuple[Partition, Partition], QSeries] = {}
@@ -181,13 +179,13 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
         todo = [start]
         while todo:
             i = heappop(todo)
-            packed, top, series = _pooled(_fit(*pending.pop(i), D), D)
+            packed, top, _, lowest, series = _pooled(_fit(*pending.pop(i), D), D)
             if not packed:
                 continue
             inv[(solve_order[i], mu)] = series
             # a product's lowest degree is the sum of its factors', so the
             # entries of lowest degree > D - (that of inv[kappa, mu]) add 0
-            limit = D - min(series.coeffs)
+            limit = D - lowest
             for low, j, kval, l1 in cols.get(i, ()):
                 if low > limit:
                     break

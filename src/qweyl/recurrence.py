@@ -24,9 +24,16 @@ The stable recurrence sums packed integers, the Kronecker packing of
 qweyl.qseries with slots of _WIDTH bits: a step adds
 factor * child << (w shift), and the cut mod q^{D+1} is a mask read as a
 balanced residue (`_fit` proves when the width suffices).  The memo values
-are pooled: each distinct value is decoded into one QSeries once
-(`_pooled`) and equal step terms are one tuple, so callers must not
-mutate a returned QSeries.
+are pooled: each distinct value is decoded into one QSeries once, with
+its largest coefficient, l1 norm and lowest degree (`_pooled`), and equal
+step terms are one tuple, so callers must not mutate a returned QSeries.
+
+The so and sp steps share one table: `_step` gives both families the same
+terms (sign, gamma(s), r), hence the same Pieri expansions and children,
+and only the shift differs (R_s for so, r + a for sp).  So `_morris_step`
+is keyed by (nu, mu_1), each of its terms carries both shifts, and
+`_k_limit` reads the shift of its family; nothing else passes between the
+two families.
 """
 
 __all__ = [
@@ -155,7 +162,7 @@ def k_limit(family: str, nu: Partition, mu: Partition, D: int) -> QSeries:
     """The stable series K_{nu,mu}(q) for the so or sp family, mod q^{D+1}."""
     _check_family(family)
     check_bound(D, "D")
-    return _k_limit(family, check_partition(nu), check_partition(mu), D)[2]
+    return _k_limit(family, check_partition(nu), check_partition(mu), D)[4]
 
 
 # Slot width, in bits, of the packed stable values; `_fit` says when it
@@ -164,10 +171,10 @@ _WIDTH = 64
 
 
 @cache
-def _k_limit(family: str, nu: Partition, mu: Partition, D: int) -> tuple[int, int, QSeries]:
-    """k_limit on valid partitions, as its pooled entry (packed series,
-    max |coefficient|, QSeries) of `_pooled`; the recursion stays inside
-    this body and sums packed integers."""
+def _k_limit(family: str, nu: Partition, mu: Partition,
+             D: int) -> tuple[int, int, int, int, QSeries]:
+    """k_limit on valid partitions, as its pooled entry of `_pooled`; the
+    recursion stays inside this body and sums packed integers."""
     if not nu and not mu:
         return _pooled(1, D)
     mu_flat = mu[1:]
@@ -176,9 +183,11 @@ def _k_limit(family: str, nu: Partition, mu: Partition, D: int) -> tuple[int, in
     high = 2 * D + low
     width = _WIDTH
     total = bound = 0
-    for factor, magnitude, shift, lam, size in _morris_step(family, nu, mu[0] if mu else 0):
+    is_sp = family == "sp"
+    for factor, magnitude, shifts, lam, size in _morris_step(nu, mu[0] if mu else 0):
+        shift = shifts[is_sp]
         if low <= size <= high - 2 * shift:
-            child, top, _ = _k_limit(family, lam, mu_flat, D)
+            child, top, _, _, _ = _k_limit(family, lam, mu_flat, D)
             if child:
                 total += factor * child << width * shift
                 bound += magnitude * top
@@ -229,25 +238,35 @@ def _fit(packed: int, bound: int, D: int) -> int:
 
 
 @cache
-def _pooled(packed: int, D: int) -> tuple[int, int, QSeries]:
-    """The one entry (packed, max |coefficient|, QSeries) of a stable value
-    mod q^{D+1}, packed as `_fit` leaves it; each distinct value is
-    decoded here once, and every memo entry equal to it is this tuple."""
+def _pooled(packed: int, D: int) -> tuple[int, int, int, int, QSeries]:
+    """The one entry of a stable value mod q^{D+1}, packed as `_fit`
+    leaves it: (packed, max |coefficient|, l1 = sum of the |coefficients|,
+    lowest degree, QSeries), the lowest degree of 0 being D + 1 (no term
+    up to q^D).  Each distinct value is decoded and measured here once,
+    and every memo entry equal to it is this tuple."""
     coeffs = _unpack_signed(packed, _WIDTH)
-    return packed, max(map(abs, coeffs.values()), default=0), QSeries._trusted(coeffs, D)
+    sizes = tuple(map(abs, coeffs.values()))
+    return (packed, max(sizes, default=0), sum(sizes), min(coeffs, default=D + 1),
+            QSeries._trusted(coeffs, D))
 
 
 @cache
-def _morris_step(family: str, nu: Partition,
-                 mu1: int) -> tuple[tuple[int, int, int, Partition, int], ...]:
-    """The terms (factor, |factor|, shift, lam, |lam|) of the stable step
-    for K_{nu,mu}, at every shift: K_{nu,mu} = sum factor q^shift K_{lam, mu-flat}.
-    The step depends on mu only through mu_1 (0 for mu = empty), so one
-    table serves every mu with that first part and every truncation D."""
+def _morris_step(nu: Partition,
+                 mu1: int) -> tuple[tuple[int, int, tuple[int, int], Partition, int], ...]:
+    """The terms (factor, |factor|, shifts, lam, |lam|) of the stable step
+    for K_{nu,mu} in both families, shifts = (so shift, sp shift):
+    K_{nu,mu} = sum factor q^shift K_{lam, mu-flat}, shift = shifts[1] for
+    sp and shifts[0] for so, at every shift.  The two families' steps
+    have the same (sign, gamma(s), r) of `_step`, hence the same Pieri
+    expansions and children; only the shift differs, R_s for so and r + a
+    for sp, so each term is built once for both.  The step depends on mu
+    only through mu_1 (0 for mu = empty), so one table serves every mu
+    with that first part, both families and every truncation D."""
     # |nu| + |nu-flat|, with |nu-flat| = |nu| - nu_1 (nu_1 = 0 for nu = empty)
     measure = 2 * weight(nu) - (nu[0] if nu else 0)
     terms = []
-    for sign, shift, gamma, r in _step(family == "sp", nu, mu1):
+    for sign, R_s, gamma, r in _step(False, nu, mu1):
+        shifts = (R_s, (R_s + r) // 2)  # the sp shift is r + a, as r = R_s - 2a
         for lam, pc in pieri_expand(gamma, r).items():
             # the self-term (s = 1, a = 0), moved to the left-hand side: for
             # a > 0, |lam| < |nu|; for s >= 2, lam holds gamma(s), whose
@@ -257,7 +276,7 @@ def _morris_step(family: str, nu: Partition,
             size = weight(lam)
             assert 2 * size - (lam[0] if lam else 0) < measure, (nu, mu1, lam)
             factor = sign * pc
-            terms.append(_shared((factor, abs(factor), shift, lam, size)))
+            terms.append(_shared((factor, abs(factor), shifts, lam, size)))
     return _shared(tuple(terms))
 
 

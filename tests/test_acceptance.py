@@ -22,7 +22,7 @@ from qweyl.qkostant import k_direct
 from qweyl.qseries import QSeries
 from qweyl.recurrence import degree_bounds, k_limit, k_recurrence_finite
 from qweyl.rootsystems import RootSystem
-from littlewood_reference import sym_mult_sp_direct
+from littlewood_reference import sym_mult_direct
 
 
 def _report(num: int, ok: bool) -> None:
@@ -154,7 +154,7 @@ def test_criterion_08_stable_sym_duality_and_support():
     ok = True
     for k in range(4):
         for lam in enumerate_partitions(6):
-            if sym_mult_sp_direct(k, lam) != sym_mult_stable(
+            if sym_mult_direct("sp", k, lam) != sym_mult_stable(
                 "so", k, conjugate(lam)
             ):
                 ok = False

@@ -34,7 +34,7 @@ from qweyl.qkostant import _table, k_direct
 from qweyl.qseries import QSeries
 from qweyl.recurrence import _k_finite, brylinski_dims, degree_bounds, k_limit, k_recurrence_finite
 from qweyl.rootsystems import RootSystem, degrees, diagram_flip, positive_roots, weyl_dim
-from littlewood_reference import sym_mult_sp_direct
+from littlewood_reference import harmonic_coeff_direct, sym_mult_direct
 from weyl_reference import dominant_dot
 
 
@@ -129,14 +129,14 @@ def _sp_mismatches():
     """The grid cells where sym_mult_stable("sp") differs from the direct
     sp Littlewood sum of the test reference."""
     return [(k, lam) for k, lam in _SYM_GRID
-            if sym_mult_stable("sp", k, lam) != sym_mult_sp_direct(k, lam)]
+            if sym_mult_stable("sp", k, lam) != sym_mult_direct("sp", k, lam)]
 
 
 def test_stable_sym_duality():
     """sp multiplicities, read from so at the conjugate partition, equal
     the direct sp sum over even-row nu on every cell of the grid."""
     assert not _sp_mismatches()
-    assert sum(sym_mult_sp_direct(k, lam) != 0 for k, lam in _SYM_GRID) > 300
+    assert sum(sym_mult_direct("sp", k, lam) != 0 for k, lam in _SYM_GRID) > 300
 
 
 def test_stable_sym_duality_catches_a_dropped_conjugation(monkeypatch):
@@ -243,7 +243,8 @@ def test_specialise_rejects_an_unknown_type_or_rank():
 
 
 def test_specialise_rejects_a_non_integral_multiplicity():
-    for m in (1.5, 2.0, "1"):
+    # a bool is rejected as QSeries and check_bound reject it
+    for m in (1.5, 2.0, "1", True):
         with pytest.raises(ValueError):
             specialise({(2,): m}, "B", 3)
 
@@ -515,7 +516,8 @@ def _branching_unpruned(family, nu, lam):
 
 def test_containment_pruning_matches_unpruned_sums():
     """branching skips lam and gamma outside nu, _sym_mult skips nu not
-    containing lam; both against the sums over every gamma and every nu."""
+    containing lam and returns 0 at once for |lam| odd or above 2k; all
+    against the sums over every gamma and every nu."""
     nonzero = 0
     for family in ("so", "sp"):
         for nu in enumerate_partitions(10):
@@ -524,14 +526,30 @@ def test_containment_pruning_matches_unpruned_sums():
                 assert branching(family, nu, lam) == want, (family, nu, lam)
                 nonzero += want != 0
         nu_cls = "even_columns" if family == "so" else "even_rows"
-        for k in range(6):
-            for lam in enumerate_partitions(2 * k):
+        for k in range(9):
+            # every |lam| up to 2k + 1: the odd weights and one past 2k
+            for lam in enumerate_partitions(2 * k + 1):
                 want = sum(
                     _branching_unpruned(family, nu, lam)
                     for nu in enumerate_partitions(2 * k, nu_cls, exact_weight=2 * k)
                 )
                 assert sym_mult_stable(family, k, lam) == want, (family, k, lam)
     assert nonzero > 1000
+
+
+def test_harmonic_support_matches_the_euler_sum():
+    """harmonic_coeff_stable returns 0 outside the support of S^k(g) at
+    lam (|lam| odd or above 2k) without a sum; against the Euler sum over
+    the direct S(g) multiplicities, both families, k <= 8, |lam| <= 2k + 3."""
+    cells = nonzero = 0
+    for family in ("so", "sp"):
+        for k in range(9):
+            for lam in enumerate_partitions(2 * k + 3):
+                want = harmonic_coeff_direct(family, k, lam)
+                assert harmonic_coeff_stable(family, k, lam) == want, (family, k, lam)
+                cells += 1
+                nonzero += want != 0
+    assert cells > 7000 and nonzero > 500
 
 
 def test_harmonic_finite_matches_q_analogue():

@@ -163,6 +163,20 @@ def test_direct_method_past_the_depth_of_the_python_stack_is_a_usage_error(capsy
     assert err.startswith("error: ") and "recursion" in err and len(err.splitlines()) == 1, err
 
 
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    # the Weyl sum at B100 (1) runs out of a 1 GB address-space cap; a
+    # k_direct that raises MemoryError stands in for it, so the test never
+    # asks for that memory
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "k_direct", exhausted)
+    code, out, err = run(capsys, "k", "--type", "B", "--rank", "100", "--lam", "1",
+                         "--method", "direct")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "memory" in err and len(err.splitlines()) == 1, err
+
+
 def test_cache_option_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--cache", "memo.bin", "k", "--type", "C", "--rank", "2", "--lam", "2"])

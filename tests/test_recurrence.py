@@ -16,7 +16,7 @@ from qweyl.hall_littlewood import k_matrix, p_basis_matrix
 from qweyl.partitions import dominates, enumerate_partitions, padded, weight
 from qweyl.pieri import _pieri_support, pieri_expand
 from qweyl.qkostant import _direct_table, _table, k_direct, weight_multiplicity
-from qweyl.qseries import QSeries, _unpack_signed
+from qweyl.qseries import QSeries, _pack, _unpack_signed
 from qweyl.recurrence import (
     brylinski_dims,
     degree_bounds,
@@ -30,6 +30,7 @@ from qweyl.recurrence import (
     k_recurrence_finite,
 )
 from qweyl.rootsystems import RootSystem, diagram_flip, weyl_dim
+from morris_reference import morris_step_per_family
 
 
 def test_step_examples():
@@ -560,8 +561,8 @@ def test_equal_limit_series_are_one_object():
 
 
 def test_equal_morris_terms_are_one_object():
-    steps = [_morris_step(family, nu, mu1)
-             for family in ("so", "sp")
+    # one table entry per (nu, mu1) serves both families
+    steps = [_morris_step(nu, mu1)
              for nu in enumerate_partitions(8)
              for mu1 in range(4)]
     terms = [term for step in steps for term in step]
@@ -571,6 +572,42 @@ def test_equal_morris_terms_are_one_object():
     step_groups = _by_value(steps, lambda st: st)
     assert len(step_groups) < len(steps)
     assert all(len(ids) == 1 for ids in step_groups.values())
+
+
+def test_shared_step_matches_each_family_built_alone():
+    """Each family's reading of the shared step (its shift of each term)
+    is the step that family builds alone, term for term and in order."""
+    differ = 0
+    for nu in enumerate_partitions(10):
+        for mu1 in range(5):
+            step = _morris_step(nu, mu1)
+            for family, i in (("so", 0), ("sp", 1)):
+                got = tuple((f, m, shifts[i], lam, size) for f, m, shifts, lam, size in step)
+                assert got == morris_step_per_family(family, nu, mu1), (family, nu, mu1)
+            differ += any(so != sp for _, _, (so, sp), _, _ in step)
+    # the shifts differ in 374 of the 578 nonempty steps, so the families
+    # do not read one copy
+    assert differ > 300
+
+
+def test_pool_entries_carry_their_l1_norm_and_lowest_degree():
+    """Every pooled entry that k_matrix and p_basis_matrix read measures
+    its own QSeries: largest |coefficient|, l1 norm and lowest degree
+    (D + 1 for the zero value)."""
+    for family in ("so", "sp"):
+        km = k_matrix(family, 8, 4)
+        pm = p_basis_matrix(family, 8, 4)
+        keys = [(lam, mu) for lam in km.index for mu in km.index]
+        entries = [_k_limit(family, lam, mu, 4) for lam, mu in keys]
+        entries += [_pooled(_pack(s.coeffs.items(), recurrence._WIDTH), 4)
+                    for s in pm.entries.values()]
+        for packed, top, l1, low, series in entries:
+            sizes = [abs(c) for c in series.coeffs.values()]
+            assert top == max(sizes, default=0)
+            assert l1 == sum(sizes)
+            assert low == (series.low_degree() if series else 5)
+            assert _unpack_signed(packed, recurrence._WIDTH) == series.coeffs
+        assert any(not e[0] for e in entries) and any(e[3] > 0 for e in entries)
 
 
 def test_degree_bounds_examples():
