@@ -183,17 +183,18 @@ def specialise(expansion: dict[Partition, int], kind: str, n: int) -> dict[tuple
         if type(m) is not int:
             raise ValueError(f"multiplicity of {lam} must be an integer, got {m!r}")
         checked[lam] = checked.get(lam, 0) + m
-    return _specialise(checked, kind, n)
+    return _specialise(checked.items(), kind, n)
 
 
-def _specialise(expansion: dict[Partition, int], kind: str, n: int) -> dict[tuple[int, ...], int]:
-    """specialise on a known type, n >= 0, and keys that are partitions
-    with integer multiplicities (the library's callers pass Pieri supports
-    and enumerate_partitions shapes), so no key is re-checked."""
+def _specialise(pairs, kind: str, n: int) -> dict[tuple[int, ...], int]:
+    """specialise on (lam, m) pairs, a known type and n >= 0, the keys
+    partitions and the multiplicities integers (the library's callers pass
+    Pieri supports and enumerate_partitions shapes), so no key is
+    re-checked."""
     N = 2 * n + _N_OFFSET[kind]
     flip = 0 if kind == "C" else 1
     out: dict[tuple[int, ...], int] = {}
-    for lam, m in expansion.items():
+    for lam, m in pairs:
         while m and len(lam) > n:
             l, h = len(lam), 2 * len(lam) - N
             beta = [p + l - i for i, p in enumerate(lam, 1)]
@@ -221,7 +222,7 @@ def sym_decomposition_finite(rs: RootSystem, k: int) -> dict[tuple[int, ...], in
     """
     check_bound(k, "k")
     return _specialise(
-        {lam: _sym_mult(rs.family, k, lam) for lam in enumerate_partitions(2 * k)},
+        ((lam, _sym_mult(rs.family, k, lam)) for lam in enumerate_partitions(2 * k)),
         rs.kind,
         rs.rank,
     )
@@ -283,7 +284,7 @@ def harmonic_char_finite(rs: RootSystem, k: int) -> CharExpansion:
     for j, c in euler_factor_coeffs(degrees(rs), k).items():
         for lam in enumerate_partitions(2 * (k - j)):
             stable[lam] = stable.get(lam, 0) + c * _sym_mult(rs.family, k - j, lam)
-    finite = _specialise(stable, rs.kind, rs.rank)
+    finite = _specialise(stable.items(), rs.kind, rs.rank)
     terms = {lam: QSeries.monomial(k, m) for lam, m in finite.items()}
     return CharExpansion(rs.family, terms, rank=rs.rank)
 

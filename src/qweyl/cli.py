@@ -14,38 +14,36 @@ import argparse
 import sys
 import time
 
-from . import __version__, lr, pieri
-from .branching import (_stable_euler_factor, _sym_mult, harmonic_char_finite,
-                        harmonic_coeff_stable)
-from .partitions import (Partition, _partitions_in_class, check_bound, check_partition, conjugate,
-                         dominates, enumerate_partitions, weight)
-from .qkostant import _direct_table, _table, k_direct
+from . import __version__, lr
+from .branching import harmonic_char_finite, harmonic_coeff_stable
+from .partitions import (Partition, check_bound, check_partition, conjugate, dominates,
+                         enumerate_partitions, weight)
+from .qkostant import _direct_table, k_direct
 from .qseries import QSeries
-from .recurrence import (_finite_pieri, _k_finite, _k_limit, _morris_step, _pooled, _shared,
-                         degree_bounds, k_limit, k_recurrence_finite)
-from .rootsystems import RootSystem, rho_doubled
+from .recurrence import degree_bounds, k_limit, k_recurrence_finite
+from .rootsystems import RootSystem
 from .hall_littlewood import k_matrix, p_basis_matrix
 
 OK, VERIFY_FAILED, USAGE_ERROR = 0, 1, 2
 
-# held here, so that a wrapper bound over a module attribute later does
-# not hide cache_info()
-_CACHED = (rho_doubled, _table, _sym_mult, _stable_euler_factor, _k_finite, _finite_pieri,
-           _k_limit, _morris_step, _pooled, _shared, pieri._pieri_support,
-           _partitions_in_class)
-
 
 def table_stats() -> dict[str, dict[str, int]]:
-    """{table: {"hits", "misses", "size"}} for every process-wide memo table:
-    the functools.cache functions above and the MemoDict table
-    lr.lr_cache, reported in the JSON meta."""
+    """{table: {"hits", "misses", "size"}} for every process-wide memo table,
+    reported in the JSON meta: one scan of the loaded qweyl modules finds
+    each functools.cache function defined in its module and each MemoDict
+    (lr.lr_cache), so a new table is reported with no edit here.  A table
+    whose module attribute is rebound to a wrapper is not seen."""
     out = {}
-    for fn in _CACHED:
-        info = fn.cache_info()
-        name = f"{fn.__module__.removeprefix('qweyl.')}.{fn.__qualname__}"
-        out[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
-    table = lr.lr_cache
-    out["lr.lr_cache"] = {"hits": table.hits, "misses": table.misses, "size": len(table)}
+    for modname, module in list(sys.modules.items()):
+        if not modname.startswith("qweyl."):
+            continue
+        for attr, obj in vars(module).items():
+            name = f"{modname.removeprefix('qweyl.')}.{attr}"
+            if isinstance(obj, lr.MemoDict):
+                out[name] = {"hits": obj.hits, "misses": obj.misses, "size": len(obj)}
+            elif hasattr(obj, "cache_info") and obj.__module__ == modname:
+                info = obj.cache_info()
+                out[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
     return out
 
 
@@ -347,7 +345,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, RecursionError) as exc:
+    except (ValueError, OSError, RecursionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except MemoryError:

@@ -28,12 +28,12 @@ are pooled: each distinct value is decoded into one QSeries once, with
 its largest coefficient, l1 norm and lowest degree (`_pooled`), and equal
 step terms are one tuple, so callers must not mutate a returned QSeries.
 
-The so and sp steps share one table: `_step` gives both families the same
-terms (sign, gamma(s), r), hence the same Pieri expansions and children,
-and only the shift differs (R_s for so, r + a for sp).  So `_morris_step`
-is keyed by (nu, mu_1), each of its terms carries both shifts, and
-`_k_limit` reads the shift of its family; nothing else passes between the
-two families.
+The two families share one step: `_step` gives both the same terms
+(sign, gamma(s), r), hence the same Pieri expansions and children, and
+only the shift differs, R_s for so (types B and D) and r + a for sp
+(type C).  `_step` writes both shifts, as one pair per term, and every
+caller reads the one of its family; so `_morris_step` is keyed by
+(nu, mu_1) alone, and nothing else passes between the two families.
 """
 
 __all__ = [
@@ -47,16 +47,17 @@ from functools import cache
 
 from .branching import _check_family, _specialise
 from .partitions import Partition, check_bound, check_partition, padded, weight
-from .pieri import pieri_expand
+from .pieri import _pieri_support, pieri_expand
 from .qseries import QSeries, _low_slots, _pack, _unpack_signed
 from .rootsystems import RootSystem, check_dominant, diagram_flip, rho_doubled
 
 
-def _step(is_sp: bool, nu: tuple, mu1: int):
-    """The terms (sign, shift, gamma(s), r) of one Morris step for K_{nu,mu}
-    with mu_1 = mu1, one per (s, a): R_s = nu_s - s - mu1 + 1 >= 0,
-    gamma(s) bumps the first s-1 parts of nu and drops part s, r = R_s - 2a,
-    and the shift is r + a in type C and R_s in types B and D."""
+def _step(nu: tuple, mu1: int):
+    """The terms (sign, shifts, gamma(s), r) of one Morris step for
+    K_{nu,mu} with mu_1 = mu1, one per (s, a): R_s = nu_s - s - mu1 + 1
+    >= 0, gamma(s) bumps the first s-1 parts of nu and drops part s,
+    r = R_s - 2a, and shifts = (R_s, r + a), the shift of types B and D
+    (the so family) and that of type C (sp)."""
     for s in range(1, max(len(nu), 1) + 1):
         R_s = (nu[s - 1] if nu else 0) - s - mu1 + 1
         if R_s < 0:
@@ -65,16 +66,17 @@ def _step(is_sp: bool, nu: tuple, mu1: int):
         gamma = tuple(x + 1 for x in nu[: s - 1]) + nu[s:]
         for a in range(R_s // 2 + 1):
             r = R_s - 2 * a
-            yield sign, r + a if is_sp else R_s, gamma, r
+            yield sign, (R_s, r + a), gamma, r
 
 
 @cache
 def _finite_pieri(kind: str, n: int, gamma: Partition, l: int) -> tuple[tuple[tuple, int], ...]:
     """V(gamma) (x) V((l)) at rank n of the given type: pieri_expand(gamma, l)
-    specialised, as (weight, multiplicity) pairs.  Weights are dominant and
-    without trailing zeros; in type D a full-length weight may have a
-    negative last coordinate (mirror component).  The result is a tuple, so
-    a caller cannot edit the memo.
+    specialised, as (weight, multiplicity) pairs; gamma is a valid
+    partition, so its Pieri memo `_pieri_support` is read directly.
+    Weights are dominant and without trailing zeros; in type D a
+    full-length weight may have a negative last coordinate (mirror
+    component).  The result is a tuple, so a caller cannot edit the memo.
 
     In type D a full-length key of the specialisation is the restriction
     of an O(2n) character, V(lam) + V(lam-bar), so its mirror key is added.
@@ -84,7 +86,7 @@ def _finite_pieri(kind: str, n: int, gamma: Partition, l: int) -> tuple[tuple[tu
     E = prod(x_i - 1/x_i), and V((l)) = ch^C(l) - ch^C(l-2), X - sigma(X)
     is read off the memoised C_n products of gamma - 1^n.
     """
-    out = _specialise(pieri_expand(gamma, l), kind, n)
+    out = _specialise(_pieri_support(gamma, l), kind, n)
     if kind != "D":
         return tuple(out.items())
     out.update({diagram_flip(kind, n, lam): m for lam, m in out.items()})
@@ -116,9 +118,9 @@ def _k_finite(kind: str, n: int, nu_w: tuple, mu_w: tuple) -> QSeries:
     # the descent costs one stack frame per rank
     mu_flat = mu_w[1:]
     terms = []
-    for sign, shift, gamma, r in _step(kind == "C", nu_w, mu_w[0] if mu_w else 0):
+    for sign, shifts, gamma, r in _step(nu_w, mu_w[0] if mu_w else 0):
         for lam, pc in _finite_pieri(kind, n - 1, gamma, r):
-            terms.append((sign * pc, shift, _k_finite(kind, n - 1, lam, mu_flat)))
+            terms.append((sign * pc, shifts[kind == "C"], _k_finite(kind, n - 1, lam, mu_flat)))
     return QSeries.combination(terms)
 
 
@@ -146,7 +148,7 @@ def k_recurrence_finite(rs: RootSystem, nu: Partition, mu: Partition) -> QSeries
             for nu_w, mu_w in keys:
                 if nu_w and nu_w[-1] < 0:
                     nu_w, mu_w = diagram_flip(kind, m, nu_w), diagram_flip(kind, m, mu_w)
-                for _, _, gamma, r in _step(kind == "C", nu_w, mu_w[0] if mu_w else 0):
+                for _, _, gamma, r in _step(nu_w, mu_w[0] if mu_w else 0):
                     for lam, _ in _finite_pieri(kind, m - 1, gamma, r):
                         children.add((lam, mu_w[1:]))
             keys = children
@@ -193,9 +195,10 @@ def _k_limit(family: str, nu: Partition, mu: Partition,
                 bound += magnitude * top
     packed = _fit(total, bound, D)
     if not mu:
+        # the quotient is exact, so its largest coefficient is its bound
         series = QSeries._trusted(_unpack_signed(packed, width), D).div_one_minus_qm(nu[0], D)
-        # each quotient coefficient sums at most D // nu_1 + 1 of the sum's
-        packed = _fit(_pack(series.coeffs.items(), width), bound * (D // nu[0] + 1), D)
+        top = max(map(abs, series.coeffs.values()), default=0)
+        packed = _fit(_pack(series.coeffs.items(), width), top, D)
     return _pooled(packed, D)
 
 
@@ -213,8 +216,8 @@ def _fit(packed: int, bound: int, D: int) -> int:
     - a Morris step sums factor q^shift K_child, whose coefficients are
       at most max|K_child| (the exact value each pooled entry keeps), so
       sum |factor| max|K_child| bounds the sum;
-    - the quotient by 1 - q^m adds at most D // m + 1 coefficients of
-      the dividend, so its bound is the dividend's times D // m + 1;
+    - the quotient by 1 - q^m is an exact QSeries, so its own largest
+      coefficient is handed;
     - the P-basis scatter subtracts K[lam,kappa] inv[kappa,mu] from delta,
       and each coefficient of a product is at most l1(K[lam,kappa])
       max|inv[kappa,mu]|, l1 the sum of the |coefficients|.  A product
@@ -224,7 +227,10 @@ def _fit(packed: int, bound: int, D: int) -> int:
     If bound reaches 2^(w-1), a slot could wrap into the next, so this
     raises OverflowError and no value is returned.  At w = 64 this is far
     off: the largest coefficient of k_matrix("so", 16, 10) has 13 bits,
-    and the largest bound handed here on the way 16 bits.
+    and the largest bound handed here on the way 16 bits.  A long row
+    reaches it: k_limit("sp", (700,), (), 800) raises at a step whose
+    summed bound passes 2^63, although no coefficient of the value has
+    more than 45 bits.
     """
     width = _WIDTH
     if bound >> (width - 1):
@@ -254,19 +260,15 @@ def _pooled(packed: int, D: int) -> tuple[int, int, int, int, QSeries]:
 def _morris_step(nu: Partition,
                  mu1: int) -> tuple[tuple[int, int, tuple[int, int], Partition, int], ...]:
     """The terms (factor, |factor|, shifts, lam, |lam|) of the stable step
-    for K_{nu,mu} in both families, shifts = (so shift, sp shift):
+    for K_{nu,mu} in both families, shifts the pair of `_step`:
     K_{nu,mu} = sum factor q^shift K_{lam, mu-flat}, shift = shifts[1] for
-    sp and shifts[0] for so, at every shift.  The two families' steps
-    have the same (sign, gamma(s), r) of `_step`, hence the same Pieri
-    expansions and children; only the shift differs, R_s for so and r + a
-    for sp, so each term is built once for both.  The step depends on mu
-    only through mu_1 (0 for mu = empty), so one table serves every mu
-    with that first part, both families and every truncation D."""
+    sp and shifts[0] for so, at every shift.  The step depends on mu only
+    through mu_1 (0 for mu = empty), so one table serves every mu with
+    that first part, both families and every truncation D."""
     # |nu| + |nu-flat|, with |nu-flat| = |nu| - nu_1 (nu_1 = 0 for nu = empty)
     measure = 2 * weight(nu) - (nu[0] if nu else 0)
     terms = []
-    for sign, R_s, gamma, r in _step(False, nu, mu1):
-        shifts = (R_s, (R_s + r) // 2)  # the sp shift is r + a, as r = R_s - 2a
+    for sign, shifts, gamma, r in _step(nu, mu1):
         for lam, pc in pieri_expand(gamma, r).items():
             # the self-term (s = 1, a = 0), moved to the left-hand side: for
             # a > 0, |lam| < |nu|; for s >= 2, lam holds gamma(s), whose

@@ -12,7 +12,8 @@ def morris_step_per_family(family, nu, mu1):
     for K_{nu,mu} in one family, mu_1 = mu1, without the self-term for
     mu = empty."""
     terms = []
-    for sign, shift, gamma, r in _step(family == "sp", nu, mu1):
+    for sign, shifts, gamma, r in _step(nu, mu1):
+        shift = shifts[family == "sp"]
         for lam, pc in pieri_expand(gamma, r).items():
             if not mu1 and lam == nu:
                 continue

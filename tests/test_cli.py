@@ -1,6 +1,7 @@
 """Command-line interface and the library's persistent cache, exercised in-process."""
 
 import contextlib
+import functools
 import importlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qweyl
-from qweyl import cli, lr
+from qweyl import cli, lr, partitions
 from qweyl.cache import CorruptCacheError, cache_load, cache_save
 from qweyl.cli import _SUITES, main, parse_partition
 from qweyl.partitions import dominates, enumerate_partitions, weight
@@ -86,19 +87,36 @@ def test_json_meta_reports_every_memo_table(capsys):
     assert tables["recurrence._shared"]["size"] > 0
 
 
-def test_every_memo_table_is_reported():
-    # a functools.cache function anywhere in qweyl, at module level or on a
-    # class, must be in cli._CACHED, so that table_stats() reports it
-    memos = {}
+def test_every_memo_table_is_reported(monkeypatch):
+    # table_stats() finds the tables by a scan, so a functools.cache
+    # function added to a qweyl module is reported with no edit to cli, as
+    # is every one defined at module level; none sits on a class, where
+    # the scan does not look
+    def _probe(x):
+        return x
+
+    _probe.__module__ = "qweyl.partitions"
+    _probe = functools.cache(_probe)
+    monkeypatch.setattr(partitions, "_probe", _probe, raising=False)
+    _probe(1)
+    _probe(1)
+    tables = cli.table_stats()
+    assert tables["partitions._probe"] == {"hits": 1, "misses": 1, "size": 1}
     for info in pkgutil.iter_modules(qweyl.__path__):
         module = importlib.import_module(f"qweyl.{info.name}")
         for obj in vars(module).values():
-            members = [obj, *vars(obj).values()] if isinstance(obj, type) else [obj]
-            for member in members:
-                if callable(member) and hasattr(member, "cache_info"):
-                    memos[id(member)] = member
-    assert len(memos) == len(cli._CACHED) == 12
-    assert set(memos) == {id(fn) for fn in cli._CACHED}
+            if isinstance(obj, type):
+                assert not any(hasattr(m, "cache_info") for m in vars(obj).values()), obj
+            elif hasattr(obj, "cache_info"):
+                assert f"{obj.__module__.removeprefix('qweyl.')}.{obj.__name__}" in tables
+
+
+def test_an_overflowing_slot_bound_is_a_usage_error(capsys):
+    # the summed step bound of sp (700) at D = 800 does not fit a 64-bit
+    # slot: exit 2 with one line on stderr, not a traceback
+    code, out, err = run(capsys, "k", "--family", "sp", "--lam", "700", "--trunc", "800")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: coefficient bound ") and err.count("\n") == 1
 
 
 def test_usage_errors(capsys):

@@ -34,11 +34,12 @@ from morris_reference import morris_step_per_family
 
 
 def test_step_examples():
-    # (sign, shift, gamma(s), r) per (s, a); the shift is R_s in types B
-    # and D and r + a in type C
+    # (sign, shift, gamma(s), r) per (s, a), read from the shift pair
+    # (R_s, r + a): R_s in types B and D and r + a in type C
     def step(nu, mu):
-        mu1 = mu[0] if mu else 0
-        return list(_step(False, nu, mu1)), list(_step(True, nu, mu1))
+        terms = list(_step(nu, mu[0] if mu else 0))
+        return ([(sign, so, gamma, r) for sign, (so, _), gamma, r in terms],
+                [(sign, sp, gamma, r) for sign, (_, sp), gamma, r in terms])
 
     assert step((4,), ()) == (
         [(1, 4, (), 4), (1, 4, (), 2), (1, 4, (), 0)],
@@ -376,6 +377,22 @@ def test_limit_column_shapes_shift():
             assert lhs == rhs, (m, p)
 
 
+def test_long_row_matches_the_row_formula():
+    """K^so_{(L),()} = q^L / prod_{i <= L/2} (1 - q^{2i}), the paper's row
+    formula, so up to q^{2L} its coefficient of q^{L+2t} is p(t), the
+    number of partitions of t.  At L = 380 the largest, p(190), has 41
+    bits, while D // nu_1 + 1 times the dividend's bound passes 2^63, so
+    the quotient must be bounded by its own coefficients."""
+    L = 380
+    p = [1] + [0] * (L // 2)
+    for part in range(1, L // 2 + 1):
+        for t in range(part, L // 2 + 1):
+            p[t] += p[t - part]
+    assert p[L // 2] == 1_667_727_404_093
+    want = {L + 2 * t: c for t, c in enumerate(p)}
+    assert k_limit("so", (L,), (), 2 * L).coeffs == want
+
+
 def test_limit_memoizes_consistently():
     a = k_limit("so", (2, 2), (), 6)
     b = k_limit("so", (2, 2), (), 4)
@@ -392,7 +409,8 @@ def _k_limit_unshared(family, nu, mu, D):
     measure = weight(nu) + weight(nu[1:])
     terms = []
     # the first term of a step is (s, a) = (1, 0)
-    for i, (sign, shift, gam, r) in enumerate(_step(family == "sp", nu, mu[0] if mu else 0)):
+    for i, (sign, shifts, gam, r) in enumerate(_step(nu, mu[0] if mu else 0)):
+        shift = shifts[family == "sp"]
         if shift > D:
             continue
         for lam, pc in pieri_expand(gam, r).items():
