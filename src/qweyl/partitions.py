@@ -32,11 +32,14 @@ Partition = tuple[int, ...]
 
 def integral_parts(parts) -> tuple[int, ...]:
     """parts as a tuple of ints; a part that is not an integer (1.5, "2")
-    is an error, one that equals an integer (2.0) is converted."""
+    is an error, one that equals an integer (2.0, 2+0j) is converted."""
     p = tuple(parts)
     for x in p:
         if type(x) is not int:
-            ints = tuple(map(int, p))
+            # int() refuses a complex part, even one equal to an int
+            ints = tuple(
+                int(x.real) if isinstance(x, complex) and not x.imag else int(x) for x in p
+            )
             if ints != p:
                 raise ValueError(f"non-integral part in {p}")
             return ints
@@ -46,7 +49,19 @@ def integral_parts(parts) -> tuple[int, ...]:
 def check_partition(parts) -> Partition:
     """Normalize an iterable of parts to a valid partition tuple: trailing
     zeros are dropped, an interior zero or a non-integral part is an
-    error."""
+    error.  A tuple is checked once: its result is memoised (errors are
+    not), and a tuple equal to it, (2.0, True) to (2, 1), gets the same
+    int tuple, as equal parts convert to equal ints."""
+    if type(parts) is tuple:
+        try:
+            return _checked_partition(parts)
+        except TypeError:  # an unhashable part, or the body's own error, raised again below
+            pass
+    return _checked_partition.__wrapped__(parts)
+
+
+@cache
+def _checked_partition(parts) -> Partition:
     p = integral_parts(parts)
     while p and p[-1] == 0:
         p = p[:-1]

@@ -69,17 +69,28 @@ def diagram_flip(kind: str, n: int, w: tuple) -> tuple:
 def check_dominant(rs: RootSystem, w) -> tuple[int, ...]:
     """w as a dominant weight of rs: a partition of length <= rank or, in
     type D, a mirror weight (full length, w_n < 0), the diagram flip of a
-    partition."""
-    w = integral_parts(w)
-    if rs.kind == "D" and len(w) == rs.rank and w[-1] < 0:
+    partition.  A tuple is checked once per (kind, rank), memoised like
+    check_partition."""
+    if type(w) is tuple:
         try:
-            check_partition(diagram_flip(rs.kind, rs.rank, w))
+            return _checked_dominant(rs.kind, rs.rank, w)
+        except TypeError:  # an unhashable part, or the body's own error, raised again below
+            pass
+    return _checked_dominant.__wrapped__(rs.kind, rs.rank, w)
+
+
+@cache
+def _checked_dominant(kind: str, rank: int, w) -> tuple[int, ...]:
+    w = integral_parts(w)
+    if kind == "D" and len(w) == rank and w[-1] < 0:
+        try:
+            check_partition(diagram_flip(kind, rank, w))
         except ValueError:
-            raise ValueError(f"{w} is not a dominant weight of {rs}") from None
+            raise ValueError(f"{w} is not a dominant weight of {kind}{rank}") from None
         return w
     p = check_partition(w)
-    if len(p) > rs.rank:
-        raise ValueError(f"partition {p} longer than the rank of {rs}")
+    if len(p) > rank:
+        raise ValueError(f"partition {p} longer than the rank of {kind}{rank}")
     return p
 
 

@@ -77,7 +77,7 @@ def test_json_meta_reports_every_memo_table(capsys):
         "branching._stable_euler_factor", "recurrence._k_finite", "recurrence._finite_pieri",
         "recurrence._k_limit", "recurrence._morris_step", "recurrence._pooled",
         "recurrence._shared", "pieri._pieri_support", "partitions._partitions_in_class",
-        "lr.lr_cache",
+        "partitions._checked_partition", "rootsystems._checked_dominant", "lr.lr_cache",
     }
     assert all(set(t) == {"hits", "misses", "size"} for t in tables.values())
     assert tables["recurrence._k_limit"]["size"] > 0

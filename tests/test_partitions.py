@@ -6,6 +6,7 @@ import pytest
 
 from qweyl.partitions import (
     _box_tuples,
+    _checked_partition,
     _conjugate,
     add_horizontal_strips,
     check_partition,
@@ -48,6 +49,46 @@ def test_check_partition_rejects_non_integral_parts():
             check_partition(bad)
     assert check_partition((2.0, 1)) == (2, 1)
     assert all(type(x) is int for x in check_partition((2.0, True)))
+
+
+def test_equal_tuples_share_one_int_result():
+    # the memo keys on tuple equality, (2.0, True) == (2, 1), so either
+    # order, and a complex part equal to an int, gives the int tuple
+    for first, second in (((2, 1), (2.0, True)), ((2.0, True), (2, 1)), ((2, 1), (2 + 0j, 1))):
+        _checked_partition.cache_clear()
+        for parts in (first, second, first):
+            assert _outcome(check_partition, parts) == ((2, 1), (int, int))
+        assert _checked_partition.cache_info().currsize == 1
+    _checked_partition.cache_clear()
+    assert check_partition((2 + 0j, 0.0)) == (2,)
+    with pytest.raises(TypeError):
+        check_partition((2 + 1j,))
+
+
+def test_an_invalid_tuple_raises_on_every_call_and_is_not_memoised():
+    _checked_partition.cache_clear()
+    for bad, message in (((1, 2), "parts not weakly decreasing: (1, 2)"),
+                         ((2, -1), "negative part in (2, -1)"),
+                         ((2, 0.5), "non-integral part in (2, 0.5)")):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check_partition(bad)
+    assert _checked_partition.cache_info().currsize == 0
+
+
+def test_lists_generators_and_unhashable_parts_are_checked_unmemoised():
+    _checked_partition.cache_clear()
+    for _ in range(2):
+        assert check_partition([3, 2, 0]) == (3, 2)
+        assert check_partition(x for x in (3, 2, 0)) == (3, 2)
+        with pytest.raises(TypeError):
+            check_partition(([1],))
+        with pytest.raises(ValueError, match=re.escape("parts not weakly decreasing: (1, 2)")):
+            check_partition([1, 2])
+    assert _checked_partition.cache_info().currsize == 0
+    # the tuple (3, 2) is memoised; the list that equals it still is not
+    assert check_partition((3, 2)) == check_partition([3, 2]) == (3, 2)
+    assert _checked_partition.cache_info()[:2] == (0, 1)
 
 
 def test_padded():
@@ -233,6 +274,10 @@ _containers = st.sampled_from([tuple, list, _generator])
 @settings(max_examples=400, deadline=None)
 @given(_shapes, _shapes, _containers, _containers)
 def test_predicates_match_their_loops(a, b, wrap_a, wrap_b):
-    # a fresh container per call, since a generator is consumed
-    assert _outcome(check_partition, wrap_a(a)) == _outcome(_check_partition_loop, wrap_a(a))
+    # a fresh container per call, since a generator is consumed; each
+    # input twice, from a cold memo and then warm (a tuple is memoised)
+    _checked_partition.cache_clear()
+    expected = _outcome(_check_partition_loop, wrap_a(a))
+    assert _outcome(check_partition, wrap_a(a)) == expected
+    assert _outcome(check_partition, wrap_a(a)) == expected
     assert _outcome(contains, wrap_a(a), wrap_b(b)) == _outcome(_contains_loop, wrap_a(a), wrap_b(b))

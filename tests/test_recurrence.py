@@ -13,7 +13,7 @@ import pytest
 from qweyl import hall_littlewood, recurrence
 from qweyl.branching import harmonic_coeff_stable, specialise
 from qweyl.hall_littlewood import k_matrix, p_basis_matrix
-from qweyl.partitions import dominates, enumerate_partitions, padded, weight
+from qweyl.partitions import _checked_partition, dominates, enumerate_partitions, padded, weight
 from qweyl.pieri import _pieri_support, pieri_expand
 from qweyl.qkostant import _direct_table, _table, k_direct, weight_multiplicity
 from qweyl.qseries import QSeries, _pack, _unpack_signed
@@ -310,6 +310,15 @@ def test_memo_hits_return_same_object():
     step = _finite_pieri("D", 3, (2, 1, 1), 2)
     assert isinstance(step, tuple) and step
     hash(step)
+
+
+def test_a_repeated_query_validates_from_the_memo():
+    # the second k_limit checks its partitions by memo hits alone
+    k_limit("so", (3, 2, 1), (1,), 6)
+    before = _checked_partition.cache_info()
+    k_limit("so", (3, 2, 1), (1,), 6)
+    after = _checked_partition.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 def test_pieri_memo_hits():

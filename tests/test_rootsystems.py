@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -55,6 +56,26 @@ def test_check_dominant_takes_a_mirror_as_the_flip_of_a_partition():
     # only type D has mirror weights
     with pytest.raises(ValueError):
         check_dominant(RootSystem("B", 3), (2, 1, -1))
+    # a tuple is memoised per (kind, rank): twice each, cold then warm,
+    # with the same value, int parts and error message
+    rootsystems._checked_dominant.cache_clear()
+    B2, B3 = RootSystem("B", 2), RootSystem("B", 3)
+    for _ in range(2):
+        assert check_dominant(D3, (2, 1, -1)) == (2, 1, -1)
+        assert check_dominant(D3, (2.0, True, -1)) == (2, 1, -1)
+        assert all(type(x) is int for x in check_dominant(D3, (2.0, True, -1)))
+        assert check_dominant(B3, (1, 1, 1)) == (1, 1, 1)
+        for rs, w, message in (
+            (B2, (1, 1, 1), "partition (1, 1, 1) longer than the rank of B2"),
+            (D3, (1, 1, 1, 1), "partition (1, 1, 1, 1) longer than the rank of D3"),
+            (D3, (1, 1, -2), "(1, 1, -2) is not a dominant weight of D3"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check_dominant(rs, w)
+        assert check_dominant(D3, [2, 1, -1]) == (2, 1, -1)
+        with pytest.raises(TypeError):
+            check_dominant(D3, ([1],))
+    assert rootsystems._checked_dominant.cache_info().currsize == 2
     # in a box, a full-length weight with w_n < 0 is accepted exactly when
     # its flip is a partition
     for w in product(range(-3, 4), repeat=3):
