@@ -49,15 +49,10 @@ def integral_parts(parts) -> tuple[int, ...]:
 def check_partition(parts) -> Partition:
     """Normalize an iterable of parts to a valid partition tuple: trailing
     zeros are dropped, an interior zero or a non-integral part is an
-    error.  A tuple is checked once: its result is memoised (errors are
-    not), and a tuple equal to it, (2.0, True) to (2, 1), gets the same
-    int tuple, as equal parts convert to equal ints."""
-    if type(parts) is tuple:
-        try:
-            return _checked_partition(parts)
-        except TypeError:  # an unhashable part, or the body's own error, raised again below
-            pass
-    return _checked_partition.__wrapped__(parts)
+    error.  The result is memoised on tuple(parts) (errors are not), and
+    an equal tuple, (2.0, True) to (2, 1), gets the same int tuple, as
+    equal parts convert to equal ints."""
+    return _checked_partition(tuple(parts))
 
 
 @cache

@@ -69,14 +69,8 @@ def diagram_flip(kind: str, n: int, w: tuple) -> tuple:
 def check_dominant(rs: RootSystem, w) -> tuple[int, ...]:
     """w as a dominant weight of rs: a partition of length <= rank or, in
     type D, a mirror weight (full length, w_n < 0), the diagram flip of a
-    partition.  A tuple is checked once per (kind, rank), memoised like
-    check_partition."""
-    if type(w) is tuple:
-        try:
-            return _checked_dominant(rs.kind, rs.rank, w)
-        except TypeError:  # an unhashable part, or the body's own error, raised again below
-            pass
-    return _checked_dominant.__wrapped__(rs.kind, rs.rank, w)
+    partition.  Memoised on (kind, rank, tuple(w)) like check_partition."""
+    return _checked_dominant(rs.kind, rs.rank, tuple(w))
 
 
 @cache

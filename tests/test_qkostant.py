@@ -321,6 +321,11 @@ def test_q_kostant_rejects_non_integral_coordinates():
         with pytest.raises(ValueError):
             q_kostant(B2, beta)
     assert q_kostant(B2, (2.0, 0)) == q_kostant(B2, (2, 0))
+    # a complex coordinate equal to an int converts, as in check_partition;
+    # any other complex one is a TypeError, as int() gives for it
+    assert q_kostant(B2, (2 + 0j, 0)) == q_kostant(B2, (2, 0))
+    with pytest.raises(TypeError):
+        q_kostant(B2, (2 + 1j, 0))
 
 
 def test_q_kostant_rejects_a_weight_of_the_wrong_length():

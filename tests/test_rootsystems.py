@@ -75,6 +75,11 @@ def test_check_dominant_takes_a_mirror_as_the_flip_of_a_partition():
         assert check_dominant(D3, [2, 1, -1]) == (2, 1, -1)
         with pytest.raises(TypeError):
             check_dominant(D3, ([1],))
+        # a complex part equal to an int converts, as in check_partition;
+        # any other complex part is a TypeError
+        assert check_dominant(D3, (2 + 0j, 1, -1)) == (2, 1, -1)
+        with pytest.raises(TypeError):
+            check_dominant(D3, (2 + 1j, 1, -1))
     assert rootsystems._checked_dominant.cache_info().currsize == 2
     # in a box, a full-length weight with w_n < 0 is accepted exactly when
     # its flip is a partition
