@@ -27,6 +27,11 @@ weight.  The S^k(g) sum runs over nu of weight 2k, so the multiplicity is
 0 when |lam| is odd or |lam| > 2k.  The harmonic coefficient at (k, lam)
 sums the multiplicities at k - j, so it reads only those with
 2(k - j) >= |lam|, and none (it is 0) when |lam| is odd or above 2k.
+Sharper, the so sum needs an even-column nu of weight 2k containing lam,
+and the least such nu, cl_so(lam), adds one box to each odd-length
+column of lam; so the so multiplicity is 0 when 2k < |cl_so(lam)|, and
+the sp one, read at the conjugate, when 2k is below |lam| plus the
+number of odd parts of lam.
 """
 
 __all__ = [
@@ -138,17 +143,30 @@ def _sym_mult(family: str, k: int, lam: Partition) -> int:
     at the conjugate lam' (module docstring): conjugation keeps each
     c^nu_{lam,gamma} and swaps even rows with even columns, so the sp sum
     over (nu, gamma) is term for term the so sum at lam'.  Outside the
-    support (module docstring) it is 0 before any sum runs."""
+    support (module docstring) it is 0 before any sum runs: |lam| odd or
+    above 2k, or, in the so sum, no even-column nu of weight 2k contains
+    lam (`_even_column_closure`)."""
     size = weight(lam)
     if size % 2 or size > 2 * k:
         return 0
     if family == "sp":
         return _sym_mult("so", k, _conjugate(lam))
+    if 2 * k < _even_column_closure(lam):
+        return 0
     total = 0
     for nu in _partitions_in_class(2 * k, "even_columns"):
         if contains(nu, lam):  # branching("so", nu, lam) is 0 otherwise
             total += branching("so", nu, lam)
     return total
+
+
+def _even_column_closure(lam: Partition) -> int:
+    """|cl_so(lam)|, the weight of the least even-column partition that
+    contains lam: |lam| plus the number of odd-length columns of lam.
+    Column j has length #{i : lam_i >= j}, which is odd exactly when
+    lam_{2i} < j <= lam_{2i-1} for some i, so there are lam_1 - lam_2 +
+    lam_3 - ... of them, and the weight is 2 (lam_1 + lam_3 + ...)."""
+    return 2 * sum(lam[::2])
 
 
 def sym_char_stable(family: str, k: int) -> CharExpansion:

@@ -34,6 +34,11 @@ only the shift differs, R_s for so (types B and D) and r + a for sp
 (type C).  `_step` writes both shifts, as one pair per term, and every
 caller reads the one of its family; so `_morris_step` is keyed by
 (nu, mu_1) alone, and nothing else passes between the two families.
+
+The finite recurrence answers 0, without a step, for every key whose
+nu - mu is provably off the positive root cone Q+ (`_off_cone`): a
+negative prefix sum, or in types C and D an odd total.  Such a key is
+memoised, but nothing under it is.
 """
 
 __all__ = [
@@ -44,6 +49,7 @@ __all__ = [
 ]
 
 from functools import cache
+from itertools import zip_longest
 
 from .branching import _check_family, _specialise
 from .partitions import Partition, check_bound, check_partition, padded, weight
@@ -106,14 +112,47 @@ def _finite_pieri(kind: str, n: int, gamma: Partition, l: int) -> tuple[tuple[tu
     return tuple((lam, c // 2) for lam, c in out.items() if c)
 
 
+def _off_cone(kind: str, nu: tuple, mu: tuple) -> bool:
+    """True when nu - mu fails a necessary test for lying in the positive
+    root cone Q+ of the given type: a prefix sum of nu - mu is negative,
+    or, in types C and D, the total is odd.  Then K_{nu,mu}(q) = 0.
+
+    Proof.  K_{nu,mu} = sum_w sign(w) P_q(w o nu - mu) (Lusztig 1983),
+    and P_q vanishes off Q+.  Every nu - w o nu lies in Q+ (the weights
+    of V(nu) lie in nu - Q+), so if w o nu - mu were in Q+, so would be
+    nu - mu = (w o nu - mu) + (nu - w o nu); off Q+ every term is 0.
+    Write v = nu - mu = sum c_i alpha_i on the simple roots and
+    S_k = v_1 + ... + v_k.  In B_n (alpha_i = e_i - e_{i+1}, alpha_n =
+    e_n) c_k = S_k, and in C_n (alpha_n = 2 e_n) c_k = S_k for k < n and
+    c_n = S_n / 2, so there the test is exact.  In D_n (alpha_{n-1} =
+    e_{n-1} - e_n, alpha_n = e_{n-1} + e_n) c_k = S_k for k <= n - 2,
+    c_{n-1} + c_n = S_{n-1} and c_n = S_n / 2, so Q+ lies inside
+    {every S_k >= 0, S_n even}: the test is necessary only (D_1 has no
+    roots, and its Q+ = {0} lies inside that set too)."""
+    total = 0
+    for a, b in zip_longest(nu, mu, fillvalue=0):
+        total += a - b
+        if total < 0:
+            return True
+    return kind != "B" and total % 2 == 1
+
+
+# the value of every key `_off_cone` answers; callers do not mutate it
+_ZERO = QSeries.zero()
+
+
 @cache
 def _k_finite(kind: str, n: int, nu_w: tuple, mu_w: tuple) -> QSeries:
     """Finite recurrence on dominant weights (type-D mirrors allowed); at
-    rank 0 both weights are empty and K = 1."""
+    rank 0 both weights are empty and K = 1.  A key off the positive root
+    cone (`_off_cone`, tested after the type-D mirror flip) is 0 at once:
+    no step is built and no child is looked up."""
     if not n:
         return QSeries.one()
     if nu_w and nu_w[-1] < 0:
         return _k_finite(kind, n, diagram_flip(kind, n, nu_w), diagram_flip(kind, n, mu_w))
+    if _off_cone(kind, nu_w, mu_w):
+        return _ZERO
     # a loop in this frame, not a generator passed to combination, so that
     # the descent costs one stack frame per rank
     mu_flat = mu_w[1:]
@@ -136,7 +175,9 @@ def k_recurrence_finite(rs: RootSystem, nu: Partition, mu: Partition) -> QSeries
     Above _SPAN ranks the memo is filled from below first, so that no call
     of _k_finite descends more than _SPAN ranks: the keys of every rank
     are collected top-down, and _k_finite runs on those of every _SPAN-th
-    rank under n, the lowest rank first."""
+    rank under n, the lowest rank first.  A key off the positive root cone
+    is not expanded, as _k_finite builds no step for it, so the pass
+    memoises exactly the keys of plain recursion."""
     kind, n = rs.kind, rs.rank
     nu, mu = check_dominant(rs, nu), check_dominant(rs, mu)
     if n > _SPAN:
@@ -148,6 +189,8 @@ def k_recurrence_finite(rs: RootSystem, nu: Partition, mu: Partition) -> QSeries
             for nu_w, mu_w in keys:
                 if nu_w and nu_w[-1] < 0:
                     nu_w, mu_w = diagram_flip(kind, m, nu_w), diagram_flip(kind, m, mu_w)
+                if _off_cone(kind, nu_w, mu_w):
+                    continue
                 for _, _, gamma, r in _step(nu_w, mu_w[0] if mu_w else 0):
                     for lam, _ in _finite_pieri(kind, m - 1, gamma, r):
                         children.add((lam, mu_w[1:]))

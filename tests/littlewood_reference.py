@@ -4,7 +4,8 @@ stable harmonic coefficients as the whole Euler sum over them.  The
 library prunes both: `qweyl.branching._sym_mult` reads sp from so at the
 conjugate partition and sums only over the nu that contain lam, and it
 and `harmonic_coeff_stable` skip every term outside the support (|lam|
-odd or above 2(k - j))."""
+odd or above 2(k - j); in _sym_mult also no even-column nu of weight 2k
+containing lam)."""
 
 from qweyl.branching import branching, euler_factor_coeffs
 from qweyl.partitions import enumerate_partitions

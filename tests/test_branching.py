@@ -640,3 +640,42 @@ def test_char_expansion_coeff_normalises_its_shape():
     for bad in ((1, 2), (1, -1), (1.5,)):
         with pytest.raises(ValueError):
             ch.coeff(bad)
+
+
+def _closure_cut_mismatches():
+    """The cells of _SYM_GRID, both families, where sym_mult_stable
+    differs from the direct Littlewood sum of the test reference, read
+    with a cold _sym_mult memo."""
+    _sym_mult.cache_clear()
+    try:
+        return [(family, k, lam) for family in ("so", "sp") for k, lam in _SYM_GRID
+                if sym_mult_stable(family, k, lam) != sym_mult_direct(family, k, lam)]
+    finally:
+        _sym_mult.cache_clear()
+
+
+def test_even_column_closure_cut_matches_unpruned_sums():
+    """_sym_mult returns 0 when 2k < |cl_so(lam)|, the weight of the least
+    even-column partition containing lam (sp through the conjugate); on
+    k <= 8, |lam| <= 2k + 2, both families, against the unpruned sums,
+    with the cut firing on cells that the |lam| <= 2k test lets through."""
+    module = importlib.import_module("qweyl.branching")
+    for k, lam in _SYM_GRID:
+        # each column of lam rounded up to an even length
+        assert module._even_column_closure(lam) == sum(c + c % 2 for c in conjugate(lam)), lam
+    assert not _closure_cut_mismatches()
+    fired = sum(weight(lam) % 2 == 0 and weight(lam) <= 2 * k < module._even_column_closure(cut)
+                for k, lam in _SYM_GRID for cut in (lam, conjugate(lam)))
+    assert fired > 1000, fired
+
+
+def test_even_column_closure_cut_catches_rows_for_columns(monkeypatch):
+    """Mutation: the closure taken over the rows of lam (|lam| plus its
+    odd parts) in place of its columns cuts nonzero so cells, and the
+    comparison with the unpruned sums fails."""
+    module = importlib.import_module("qweyl.branching")
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_even_column_closure", lambda lam: 2 * sum(conjugate(lam)[::2]))
+        mismatches = _closure_cut_mismatches()
+    assert ("so", 1, (1, 1)) in mismatches and len(mismatches) > 200, len(mismatches)
+    assert not _closure_cut_mismatches()

@@ -369,7 +369,7 @@ def test_verify_hl_inverse_default_grid(capsys):
 
 def test_verify_suites_keep_their_default_check_counts(capsys):
     counts = {"duality": 30, "stability": 121, "hesselink": 1238, "stable-hesselink": 2502,
-              "degrees": 236, "pieri-oracle": 537, "hl-inverse": 17956}
+              "degrees": 236, "pieri-oracle": 654, "hl-inverse": 17956}
     assert set(counts) == set(_SUITES)
     for suite, checks in counts.items():
         code, out, _ = run(capsys, "verify", "--suite", suite)

@@ -141,6 +141,63 @@ def test_the_span_pass_equals_plain_recursion(monkeypatch):
     _k_finite.cache_clear()
 
 
+def _cone_cases():
+    """Every pair of dominant weights with |nu|, |mu| <= 4 on B/C/D ranks
+    2-5, type-D mirror weights included: odd |nu| - |mu|, mu not dominated
+    by nu and |mu| > |nu| among them."""
+    cases = []
+    for kind in "BCD":
+        for n in range(2, 6):
+            rs = RootSystem(kind, n)
+            weights = [p for p in enumerate_partitions(4) if len(p) <= n]
+            if kind == "D":
+                weights += [diagram_flip(kind, n, p) for p in weights if len(p) == n]
+            cases += [(rs, nu, mu) for nu in weights for mu in weights]
+    return cases
+
+
+def _cone_mismatches(cases):
+    """The cases where k_recurrence_finite differs from the recursion with
+    `_off_cone` never firing (the unpruned sum) or from k_direct."""
+    cone = recurrence._off_cone
+    recurrence._off_cone = lambda kind, nu, mu: False
+    _k_finite.cache_clear()
+    try:
+        unpruned = [k_recurrence_finite(rs, nu, mu) for rs, nu, mu in cases]
+    finally:
+        recurrence._off_cone = cone
+    _k_finite.cache_clear()
+    try:
+        return [(str(rs), nu, mu) for (rs, nu, mu), want in zip(cases, unpruned)
+                if not k_recurrence_finite(rs, nu, mu) == want == k_direct(rs, nu, mu)]
+    finally:
+        _k_finite.cache_clear()
+
+
+def test_off_cone_pairs_match_the_unpruned_sum_and_the_direct_sum():
+    # the cut changes no value: against the unpruned recursion and k_direct
+    cases = _cone_cases()
+    assert not _cone_mismatches(cases)
+    assert sum(recurrence._off_cone(rs.kind, nu, mu) for rs, nu, mu in cases) > 1000
+    # above _SPAN, an off-cone query memoises its own key alone
+    _k_finite.cache_clear()
+    assert k_recurrence_finite(RootSystem("C", 2000), (2, 1), ()) == QSeries.zero()
+    assert _k_finite.cache_info().currsize == 1
+    _k_finite.cache_clear()
+
+
+def test_off_cone_demanding_an_even_total_in_type_b_fails(monkeypatch):
+    # Mutation: B_n has the short simple root e_n, so an odd total is in
+    # its cone; demanding an even total there too zeroes K_{(1),()} = q^n
+    # of the vector representation, and the comparison fails
+    cone = recurrence._off_cone
+    monkeypatch.setattr(recurrence, "_off_cone", lambda kind, nu, mu: cone("C", nu, mu))
+    mismatches = _cone_mismatches(_cone_cases())
+    monkeypatch.undo()
+    assert all(rs.startswith("B") for rs, _, _ in mismatches), mismatches
+    assert {(f"B{n}", (1,), ()) for n in range(2, 6)} <= set(mismatches), mismatches
+
+
 def test_recurrence_validates_shapes():
     with pytest.raises(ValueError):
         k_recurrence_finite(RootSystem("C", 2), (1, 1, 1), ())
