@@ -31,7 +31,6 @@ from .recurrence import (
     k_recurrence_finite,
 )
 from .hall_littlewood import k_matrix, p_basis_matrix, qprime_expansion
-from .cache import cache_load, cache_save
 
 __all__ = [
     "Partition",
@@ -39,8 +38,6 @@ __all__ = [
     "RootSystem",
     "branching",
     "brylinski_dims",
-    "cache_load",
-    "cache_save",
     "conjugate",
     "degree_bounds",
     "enumerate_partitions",

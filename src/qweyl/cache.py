@@ -1,49 +1,34 @@
 """
-Persistent on-disk copy of one memo table, for library callers: the
-qweyl command keeps no state between runs.
+Persistent on-disk copy of lr.lr_cache (a dict, lr.MemoDict, so that it
+can be persisted), for library callers: the qweyl command keeps no state
+between runs, and `import qweyl` does not load this module.  It stays only
+while the benchmark measures the cache (its cache.* metrics); with them
+gone it can be deleted with its tests.
 
-The table is a dict (lr.MemoDict) so that it can be persisted:
-lr.lr_cache, the Littlewood-Richardson coefficients.  The module stays
-only while the benchmark measures the cache (its cache.* metrics); with
-them gone it can be deleted with its tests.
-
-Binary format: magic+version header, one length-prefixed record per
-entry (repr of the key, signed integer value), and a trailing CRC32 of
-everything before it.  A missing file is a cold start; anything
-malformed raises CorruptCacheError.
+Format: a magic+version header, the repr of the sorted list of
+(key, value) entries, and a trailing CRC32 of everything before it.  A
+missing file is a cold start; anything malformed, a file of an older
+version included, raises CorruptCacheError.
 """
 
 __all__ = ["cache_save", "cache_load", "CorruptCacheError"]
 
 import os
-import struct
 import zlib
 
 from . import lr
 
-MAGIC = b"QWEYLC01"
+MAGIC = b"QWEYLC02"
 
 
 class CorruptCacheError(Exception):
     """The cache file exists but cannot be trusted."""
 
 
-def _sections() -> list[tuple[str, dict]]:
-    return [("lr", lr.lr_cache)]
-
-
 def cache_save(path: str) -> None:
     """Write the memo table; compacts any previous file."""
-    body = bytearray()
-    for name, table in _sections():
-        tag = name.encode()
-        body += struct.pack("<B", len(tag)) + tag
-        body += struct.pack("<I", len(table))
-        for key in sorted(table, key=repr):
-            kb = repr(key).encode()
-            body += struct.pack("<Hq", len(kb), table[key]) + kb
-    blob = MAGIC + bytes(body)
-    blob += struct.pack("<I", zlib.crc32(blob))
+    blob = MAGIC + repr(sorted(lr.lr_cache.items())).encode()
+    blob += zlib.crc32(blob).to_bytes(4, "little")
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(blob)
@@ -52,7 +37,7 @@ def cache_save(path: str) -> None:
 
 def cache_load(path: str) -> None:
     """Merge a previously saved cache; missing file is a no-op."""
-    import ast  # here, not at module level: only loading parses keys
+    import ast  # here, not at module level: only loading parses
 
     if not os.path.exists(path):
         return
@@ -60,27 +45,17 @@ def cache_load(path: str) -> None:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 4 or not blob.startswith(MAGIC):
         raise CorruptCacheError(f"{path}: bad header")
-    body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) != crc:
+    body = blob[:-4]
+    if zlib.crc32(body) != int.from_bytes(blob[-4:], "little"):
         raise CorruptCacheError(f"{path}: checksum mismatch")
-    tables = dict(_sections())
-    pos = len(MAGIC)
     try:
-        while pos < len(body):
-            (tlen,) = struct.unpack_from("<B", body, pos)
-            pos += 1
-            name = body[pos : pos + tlen].decode()
-            pos += tlen
-            (count,) = struct.unpack_from("<I", body, pos)
-            pos += 4
-            table = tables[name]
-            for _ in range(count):
-                klen, val = struct.unpack_from("<Hq", body, pos)
-                pos += 10
-                key = ast.literal_eval(body[pos : pos + klen].decode())
-                pos += klen
-                table.setdefault(key, val)
-    except (struct.error, KeyError, ValueError, SyntaxError, UnicodeDecodeError) as exc:
-        raise CorruptCacheError(f"{path}: truncated or malformed ({exc})") from exc
-    if pos != len(body):
-        raise CorruptCacheError(f"{path}: trailing garbage")
+        entries = ast.literal_eval(body[len(MAGIC):].decode())
+        # (key, integer) pairs only: a bool or a float is no coefficient
+        if not (type(entries) is list and all(
+                type(e) is tuple and len(e) == 2 and type(e[1]) is int for e in entries)):
+            raise ValueError("not a list of (key, integer) pairs")
+        table = dict(entries)  # a TypeError here is an unhashable key
+    except (ValueError, TypeError, SyntaxError, RecursionError) as exc:
+        raise CorruptCacheError(f"{path}: malformed ({exc})") from exc
+    for key, value in table.items():
+        lr.lr_cache.setdefault(key, value)

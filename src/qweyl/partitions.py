@@ -154,16 +154,24 @@ def _box_tuples(lower: tuple[int, ...], upper: tuple[int, ...], total: int) -> l
 
 def add_horizontal_strips(p: Partition, size: int) -> list[Partition]:
     """All partitions obtained from p by adding a horizontal strip of `size` boxes."""
-    p, size = check_partition(p), check_bound(size, "strip size")
+    return _added_strips(check_partition(p), check_bound(size, "strip size"))
+
+
+def remove_horizontal_strips(p: Partition, size: int) -> list[Partition]:
+    """All partitions obtained from p by removing a horizontal strip of `size` boxes."""
+    return _removed_strips(check_partition(p), check_bound(size, "strip size"))
+
+
+def _added_strips(p: Partition, size: int) -> list[Partition]:
+    """add_horizontal_strips on a valid partition and size, with no check."""
     # a strip interleaves the shapes, out_1 >= p_1 >= out_2 >= p_2 >= ...:
     # row i of the result lies in [p_i, p_{i-1}], and row 1 in [p_1, p_1 + size]
     top = (p[0] if p else 0) + size
     return _box_tuples(p + (0,), (top,) + p, weight(p) + size)
 
 
-def remove_horizontal_strips(p: Partition, size: int) -> list[Partition]:
-    """All partitions obtained from p by removing a horizontal strip of `size` boxes."""
-    p, size = check_partition(p), check_bound(size, "strip size")
+def _removed_strips(p: Partition, size: int) -> list[Partition]:
+    """remove_horizontal_strips on a valid partition and size, with no check."""
     # p_1 >= out_1 >= p_2 >= out_2 >= ...: row i of the result lies in [p_{i+1}, p_i]
     return _box_tuples(p[1:] + (0,) if p else (), p, weight(p) - size)
 

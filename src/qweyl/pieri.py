@@ -16,7 +16,8 @@ __all__ = ["stable_pieri", "pieri_expand"]
 
 from functools import cache
 
-from .partitions import Partition, _box_tuples, check_bound, check_partition, weight
+from .partitions import (Partition, _added_strips, _removed_strips, check_bound,
+                         check_partition, weight)
 
 
 def stable_pieri(gamma: Partition, l: int, lam: Partition) -> int:
@@ -38,16 +39,10 @@ def pieri_expand(gamma: Partition, l: int) -> dict[Partition, int]:
 
 @cache
 def _pieri_support(gamma: Partition, l: int) -> tuple[tuple[Partition, int], ...]:
-    # the strip boxes of partitions.add_horizontal_strips and
-    # remove_horizontal_strips, on a key that is already a valid partition
+    # the key is already a valid partition, so the strips need no check
     out: dict[Partition, int] = {}
-    size = weight(gamma)
-    for removed in range(min(l, size) + 1):
-        added = l - removed
-        # gamma_1 >= alpha_1 >= gamma_2 >= alpha_2 >= ...
-        for alpha in _box_tuples(gamma[1:] + (0,) if gamma else (), gamma, size - removed):
-            # lam_1 >= alpha_1 >= lam_2 >= ..., lam_1 <= alpha_1 + added
-            top = ((alpha[0] if alpha else 0) + added,) + alpha
-            for lam in _box_tuples(alpha + (0,), top, size - removed + added):
+    for removed in range(min(l, weight(gamma)) + 1):
+        for alpha in _removed_strips(gamma, removed):
+            for lam in _added_strips(alpha, l - removed):
                 out[lam] = out.get(lam, 0) + 1
     return tuple(out.items())

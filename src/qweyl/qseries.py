@@ -6,7 +6,8 @@ A QSeries is a map degree -> coefficient plus an optional truncation
 bound D, an integer >= 0.  With D set, the series is only known modulo
 q^(D+1); arithmetic between two truncated series truncates at the smaller
 bound.  Without D the series is an exact polynomial.  That rule lives in
-`QSeries.combination` alone: every arithmetic operator is one call of it.
+`QSeries.combination` alone: the constructor and every arithmetic
+operator are one call of it.
 
 The module also holds the Kronecker packing that the P_q table and the
 stable engine share: a polynomial sum c_d q^d is the integer
@@ -20,27 +21,17 @@ caller proves for its width.  `_unpack_signed` is the one reader.
 
 __all__ = ["QSeries"]
 
+from .partitions import check_bound
+
 
 class QSeries:
     __slots__ = ("coeffs", "trunc")
 
     def __init__(self, coeffs=None, trunc: int | None = None):
-        # the rule of partitions.check_bound, inlined: this is a hot path
-        if trunc is not None and not (isinstance(trunc, int) and not isinstance(trunc, bool)
-                                      and trunc >= 0):
-            raise ValueError(f"truncation bound must be an integer >= 0, got {trunc!r}")
-        cc = {}
-        if coeffs:
-            for d, c in coeffs.items() if isinstance(coeffs, dict) else coeffs:
-                # exact integer arithmetic: no float, fraction or bool gets in
-                if not (type(d) is int and type(c) is int):
-                    raise ValueError(f"degree and coefficient must be integers, got {d!r}: {c!r}")
-                if d < 0:
-                    raise ValueError("negative degree")
-                if c and (trunc is None or d <= trunc):
-                    cc[d] = cc.get(d, 0) + c
-        self.coeffs = {d: c for d, c in cc.items() if c}
-        self.trunc = trunc
+        # c * q^d summed over the (d, c) pairs: the checks and the rule are combination's
+        pairs = (coeffs.items() if isinstance(coeffs, dict) else coeffs) if coeffs else ()
+        series = QSeries.combination([(c, d, _ONE) for d, c in pairs], trunc)
+        self.coeffs, self.trunc = series.coeffs, series.trunc
 
     # -- constructors -------------------------------------------------
 
@@ -62,13 +53,12 @@ class QSeries:
 
         Truncates at the smallest of `trunc` and the series' bounds, like a
         fold of shift, scale and + would, but builds a single QSeries.  The
-        checks of the constructor run once per term, not per coefficient:
-        the series' own pairs already passed them.
+        integer checks run once per term, not per coefficient: the series'
+        own pairs already passed them.  A term may shift below q^0 as long
+        as nothing nonzero lands there.
         """
-        # the rule of partitions.check_bound, inlined: this is a hot path
-        if trunc is not None and not (isinstance(trunc, int) and not isinstance(trunc, bool)
-                                      and trunc >= 0):
-            raise ValueError(f"truncation bound must be an integer >= 0, got {trunc!r}")
+        if trunc is not None:
+            check_bound(trunc, "truncation bound")
         t = trunc
         lowest = 0
         cc: dict[int, int] = {}
@@ -178,7 +168,7 @@ class QSeries:
         t = min((b for b in (self.trunc, trunc) if b is not None), default=None)
         if t is None:
             raise ValueError("division by 1 - q^m needs a truncation bound")
-        # int(t): a non-integral bound reaches the constructor, which rejects it
+        # int(t): a non-integral bound reaches combination, which rejects it
         return QSeries.combination([(1, j * m, self) for j in range(int(t) // m + 1)], t)
 
     # -- rendering ----------------------------------------------------
@@ -208,6 +198,10 @@ class QSeries:
     def __repr__(self) -> str:
         t = "" if self.trunc is None else f", trunc={self.trunc}"
         return f"QSeries({self.coeffs!r}{t})"
+
+
+# the unit that the constructor's monomial terms scale and shift
+_ONE = QSeries._trusted({0: 1}, None)
 
 
 # -- Kronecker packing ------------------------------------------------

@@ -6,12 +6,13 @@ import importlib
 import io
 import json
 import pkgutil
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qweyl
-from qweyl import cli, lr, partitions
+from qweyl import cache, cli, lr, partitions
 from qweyl.cache import CorruptCacheError, cache_load, cache_save
 from qweyl.cli import _SUITES, main, parse_partition
 from qweyl.partitions import dominates, enumerate_partitions, weight
@@ -504,4 +505,37 @@ def test_cache_corruption_detected(tmp_path):
     with open(path, "wb") as fh:
         fh.write(b"NOTAFILE" + blob[8:])
     with pytest.raises(CorruptCacheError):
+        cache_load(path)
+
+
+def _write_with_crc(path, blob):
+    with open(path, "wb") as fh:
+        fh.write(blob + zlib.crc32(blob).to_bytes(4, "little"))
+
+
+def test_cache_body_must_be_a_list_of_key_integer_pairs(tmp_path):
+    # each body below passes the header and the checksum, so only the parse
+    # and the entry checks can reject it; nothing reaches the memo table
+    path = str(tmp_path / "memo.bin")
+    lr.lr_cache.clear()
+    key = ((2, 1), (1,), (1, 1))
+    for body in (f"[({key!r}, 1)", f"{{{key!r}: 1}}", f"[{key!r}]", f"[({key!r}, 1, 2)]",
+                 f"[({key!r}, 1.0)]", f"[({key!r}, True)]", "[([1], 1)]", "[(print, 1)]"):
+        _write_with_crc(path, cache.MAGIC + body.encode())
+        with pytest.raises(CorruptCacheError):
+            cache_load(path)
+        assert not lr.lr_cache, body
+    _write_with_crc(path, cache.MAGIC + f"[({key!r}, 1)]".encode())
+    cache_load(path)
+    assert lr.lr_cache == {key: 1}
+    lr.lr_cache.clear()
+
+
+def test_cache_file_of_the_old_version_reads_as_corrupt(tmp_path):
+    path = str(tmp_path / "memo.bin")
+    cache_save(path)
+    blob = open(path, "rb").read()
+    assert blob.startswith(cache.MAGIC) and cache.MAGIC != b"QWEYLC01"
+    _write_with_crc(path, b"QWEYLC01" + blob[len(cache.MAGIC):-4])
+    with pytest.raises(CorruptCacheError, match="bad header"):
         cache_load(path)

@@ -14,7 +14,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # it is used at run time (cache_load imports ast when it is called)
 NOT_AT_IMPORT = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "copy", "linecache")
 # the standard-library modules qweyl imports at module level besides heapq
-PRELOADED = ("collections.abc", "functools", "itertools", "math", "operator", "os", "struct", "zlib")
+PRELOADED = ("collections.abc", "functools", "itertools", "math", "operator")
 
 
 def _fresh(*args: str) -> subprocess.CompletedProcess:
@@ -42,6 +42,13 @@ def test_import_loads_no_module_it_does_not_run():
     new = _new_modules()
     assert "qweyl" in new and "qweyl.cli" not in new
     assert not new & set(NOT_AT_IMPORT), sorted(new & set(NOT_AT_IMPORT))
+
+
+def test_import_leaves_the_on_disk_cache_unloaded():
+    # qweyl.cache is for library callers that import it; the package does not
+    new = _new_modules()
+    assert "qweyl.pieri" in new and "qweyl.lr" in new
+    assert "qweyl.cache" not in new, sorted(name for name in new if name.startswith("qweyl"))
 
 
 def test_import_adds_only_heapq_to_what_qweyl_imports():

@@ -23,6 +23,17 @@ def test_negative_degree_rejected():
         QSeries({-1: 1})
 
 
+def test_constructor_is_one_combination():
+    # duplicate pairs sum and may cancel, degrees above the bound drop, and
+    # a zero below q^0 is no term, as in any other combination
+    assert QSeries([(2, 1), (0, 3), (2, 4), (0, -3)]) == QSeries({2: 5})
+    assert QSeries([(1, 2), (1, -2)]) == QSeries.zero()
+    assert QSeries({0: 1, 3: 2, 4: 5}, 3).coeffs == {0: 1, 3: 2}
+    assert QSeries({-1: 0}) == QSeries.zero()
+    with pytest.raises(ValueError, match="negative degree"):
+        QSeries([(-1, 1), (-1, 0)], 5)
+
+
 def test_non_integral_degree_or_coefficient_rejected():
     # the arithmetic is exact: a float degree or coefficient never gets in,
     # through the constructor or through a combination
