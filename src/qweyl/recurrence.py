@@ -36,9 +36,10 @@ caller reads the one of its family; so `_morris_step` is keyed by
 (nu, mu_1) alone, and nothing else passes between the two families.
 
 The finite recurrence answers 0, without a step, for every key whose
-nu - mu is provably off the positive root cone Q+ (`_off_cone`): a
-negative prefix sum, or in types C and D an odd total.  Such a key is
-memoised, but nothing under it is.
+nu - mu is off the positive root cone Q+, by rootsystems._off_cone, the
+one test of Q+ (exact in types B, C and D, with its proof), which the
+P_q table of qweyl.qkostant reads too.  Such a key is memoised, but
+nothing under it is.
 """
 
 __all__ = [
@@ -49,13 +50,12 @@ __all__ = [
 ]
 
 from functools import cache
-from itertools import zip_longest
 
 from .branching import _check_family, _specialise
 from .partitions import Partition, check_bound, check_partition, padded, weight
 from .pieri import _pieri_support, pieri_expand
 from .qseries import QSeries, _low_slots, _pack, _unpack_signed
-from .rootsystems import RootSystem, check_dominant, diagram_flip, rho_doubled
+from .rootsystems import RootSystem, _off_cone, check_dominant, diagram_flip, rho_doubled
 
 
 def _step(nu: tuple, mu1: int):
@@ -112,31 +112,6 @@ def _finite_pieri(kind: str, n: int, gamma: Partition, l: int) -> tuple[tuple[tu
     return tuple((lam, c // 2) for lam, c in out.items() if c)
 
 
-def _off_cone(kind: str, nu: tuple, mu: tuple) -> bool:
-    """True when nu - mu fails a necessary test for lying in the positive
-    root cone Q+ of the given type: a prefix sum of nu - mu is negative,
-    or, in types C and D, the total is odd.  Then K_{nu,mu}(q) = 0.
-
-    Proof.  K_{nu,mu} = sum_w sign(w) P_q(w o nu - mu) (Lusztig 1983),
-    and P_q vanishes off Q+.  Every nu - w o nu lies in Q+ (the weights
-    of V(nu) lie in nu - Q+), so if w o nu - mu were in Q+, so would be
-    nu - mu = (w o nu - mu) + (nu - w o nu); off Q+ every term is 0.
-    Write v = nu - mu = sum c_i alpha_i on the simple roots and
-    S_k = v_1 + ... + v_k.  In B_n (alpha_i = e_i - e_{i+1}, alpha_n =
-    e_n) c_k = S_k, and in C_n (alpha_n = 2 e_n) c_k = S_k for k < n and
-    c_n = S_n / 2, so there the test is exact.  In D_n (alpha_{n-1} =
-    e_{n-1} - e_n, alpha_n = e_{n-1} + e_n) c_k = S_k for k <= n - 2,
-    c_{n-1} + c_n = S_{n-1} and c_n = S_n / 2, so Q+ lies inside
-    {every S_k >= 0, S_n even}: the test is necessary only (D_1 has no
-    roots, and its Q+ = {0} lies inside that set too)."""
-    total = 0
-    for a, b in zip_longest(nu, mu, fillvalue=0):
-        total += a - b
-        if total < 0:
-            return True
-    return kind != "B" and total % 2 == 1
-
-
 # the value of every key `_off_cone` answers; callers do not mutate it
 _ZERO = QSeries.zero()
 
@@ -151,7 +126,7 @@ def _k_finite(kind: str, n: int, nu_w: tuple, mu_w: tuple) -> QSeries:
         return QSeries.one()
     if nu_w and nu_w[-1] < 0:
         return _k_finite(kind, n, diagram_flip(kind, n, nu_w), diagram_flip(kind, n, mu_w))
-    if _off_cone(kind, nu_w, mu_w):
+    if _off_cone(kind, n, nu_w, mu_w):
         return _ZERO
     # a loop in this frame, not a generator passed to combination, so that
     # the descent costs one stack frame per rank
@@ -172,34 +147,37 @@ _SPAN = 200
 def k_recurrence_finite(rs: RootSystem, nu: Partition, mu: Partition) -> QSeries:
     """K_{nu,mu}(q) at finite rank via the rank-lowering recurrence.
 
-    Above _SPAN ranks the memo is filled from below first, so that no call
-    of _k_finite descends more than _SPAN ranks: the keys of every rank
-    are collected top-down, and _k_finite runs on those of every _SPAN-th
-    rank under n, the lowest rank first.  A key off the positive root cone
-    is not expanded, as _k_finite builds no step for it, so the pass
-    memoises exactly the keys of plain recursion."""
+    The memo is filled from below first, so that no call of _k_finite
+    descends more than _SPAN ranks: the keys of every rank are collected
+    top-down, and _k_finite runs on those of every _SPAN-th rank under n,
+    the lowest rank first.  Up to _SPAN ranks there is no such rank, and
+    the pass is empty.  A key off the positive root cone is not expanded,
+    as _k_finite builds no step for it, so the pass memoises exactly the
+    keys of plain recursion."""
     kind, n = rs.kind, rs.rank
     nu, mu = check_dominant(rs, nu), check_dominant(rs, mu)
-    if n > _SPAN:
-        # keys: those of rank m, down to the lowest boundary, in (0, _SPAN]
-        lowest = (n - 1) % _SPAN + 1
-        keys, boundaries = {(nu, mu)}, []
-        for m in range(n, lowest, -1):
-            children = set()
-            for nu_w, mu_w in keys:
-                if nu_w and nu_w[-1] < 0:
-                    nu_w, mu_w = diagram_flip(kind, m, nu_w), diagram_flip(kind, m, mu_w)
-                if _off_cone(kind, nu_w, mu_w):
-                    continue
-                for _, _, gamma, r in _step(nu_w, mu_w[0] if mu_w else 0):
-                    for lam, _ in _finite_pieri(kind, m - 1, gamma, r):
-                        children.add((lam, mu_w[1:]))
-            keys = children
-            if (n - m + 1) % _SPAN == 0:
-                boundaries.append((m - 1, keys))
-        for m, level in reversed(boundaries):
-            for nu_w, mu_w in level:
-                _k_finite(kind, m, nu_w, mu_w)
+    # keys: those of rank m, down to the lowest boundary, in (0, _SPAN]
+    # (n itself for n <= _SPAN); levels: the keys of every _SPAN-th rank
+    # under n, the lowest rank last
+    lowest = (n - 1) % _SPAN + 1
+    keys, levels, m = {(nu, mu)}, [], n
+    while m > lowest:
+        children = set()
+        for nu_w, mu_w in keys:
+            if nu_w and nu_w[-1] < 0:
+                nu_w, mu_w = diagram_flip(kind, m, nu_w), diagram_flip(kind, m, mu_w)
+            if _off_cone(kind, m, nu_w, mu_w):
+                continue
+            for _, _, gamma, r in _step(nu_w, mu_w[0] if mu_w else 0):
+                for lam, _ in _finite_pieri(kind, m - 1, gamma, r):
+                    children.add((lam, mu_w[1:]))
+        keys, m = children, m - 1
+        if (n - m) % _SPAN == 0:
+            levels.append((m, keys))
+    while levels:
+        m, level = levels.pop()
+        for nu_w, mu_w in level:
+            _k_finite(kind, m, nu_w, mu_w)
     return _k_finite(kind, n, nu, mu)
 
 

@@ -26,6 +26,7 @@ __all__ = [
 
 from collections.abc import Iterator
 from functools import cache
+from itertools import zip_longest
 
 from .partitions import check_bound, check_partition, integral_parts, padded
 from .records import FrozenRecord
@@ -64,6 +65,37 @@ def diagram_flip(kind: str, n: int, w: tuple) -> tuple:
     if kind == "D" and w and len(w) == n:
         return w[:-1] + (-w[-1],)
     return w
+
+
+def _off_cone(kind: str, n: int, nu: tuple, mu: tuple = ()) -> bool:
+    """True exactly when v = nu - mu, of length <= n (padded with zeros),
+    lies outside the positive root cone Q+ of the given type and rank n.
+    Then P_q(v) = 0, and for dominant nu and mu K_{nu,mu}(q) = 0.
+
+    Proof.  Write v = sum c_i alpha_i on the simple roots and
+    S_k = v_1 + ... + v_k (S_0 = 0); v lies in Q+ exactly when every c_i
+    is an integer >= 0.  In B_n (alpha_i = e_i - e_{i+1}, alpha_n = e_n)
+    c_k = S_k.  In C_n (alpha_n = 2 e_n) c_k = S_k for k < n and
+    c_n = S_n / 2.  In D_n (alpha_{n-1} = e_{n-1} - e_n, alpha_n =
+    e_{n-1} + e_n) c_k = S_k for k <= n - 2, c_{n-1} = (S_{n-1} - v_n)/2
+    and c_n = (S_{n-1} + v_n)/2 = S_n / 2, so there c_{n-1}, c_n >= 0
+    reads S_{n-1} >= |v_n|, which also gives S_{n-1}, S_n >= 0; D_1 has
+    no roots, and S_0 >= |v_1| leaves its Q+ = {0}.  So v is off Q+
+    exactly when a prefix sum is negative, or, in types C and D, S_n is
+    odd, or, in type D, S_{n-1} < |v_n|.
+
+    K_{nu,mu} = sum_w sign(w) P_q(w o nu - mu) (Lusztig 1983), and every
+    nu - w o nu lies in Q+ (the weights of V(nu) lie in nu - Q+), so if
+    w o nu - mu were in Q+, so would be nu - mu; off Q+ every term is 0."""
+    total = 0
+    for a, b in zip_longest(nu, mu, fillvalue=0):
+        total += a - b
+        if total < 0:
+            return True
+    if kind == "B":
+        return False
+    last = (nu[n - 1] if len(nu) == n else 0) - (mu[n - 1] if len(mu) == n else 0)
+    return total % 2 == 1 or (kind == "D" and total - last < abs(last))
 
 
 def check_dominant(rs: RootSystem, w) -> tuple[int, ...]:

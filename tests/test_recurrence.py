@@ -160,7 +160,7 @@ def _cone_mismatches(cases):
     """The cases where k_recurrence_finite differs from the recursion with
     `_off_cone` never firing (the unpruned sum) or from k_direct."""
     cone = recurrence._off_cone
-    recurrence._off_cone = lambda kind, nu, mu: False
+    recurrence._off_cone = lambda kind, n, nu, mu: False
     _k_finite.cache_clear()
     try:
         unpruned = [k_recurrence_finite(rs, nu, mu) for rs, nu, mu in cases]
@@ -175,14 +175,20 @@ def _cone_mismatches(cases):
 
 
 def test_off_cone_pairs_match_the_unpruned_sum_and_the_direct_sum():
-    # the cut changes no value: against the unpruned recursion and k_direct
-    cases = _cone_cases()
+    # the cut changes no value: against the unpruned recursion and k_direct;
+    # in type D, nu - mu = (0, ..., 0, 2) has no negative prefix sum and an
+    # even total, but S_{n-1} = 0 < |v_n| puts it off the cone
+    type_d_zeros = [(RootSystem("D", n), (2,) * n, (2,) * (n - 1)) for n in (3, 4, 5)]
+    cases = _cone_cases() + type_d_zeros
     assert not _cone_mismatches(cases)
-    assert sum(recurrence._off_cone(rs.kind, nu, mu) for rs, nu, mu in cases) > 1000
+    assert sum(recurrence._off_cone(rs.kind, rs.rank, nu, mu) for rs, nu, mu in cases) > 1000
+    assert all(k_direct(*case) == QSeries.zero() for case in type_d_zeros)
     # above _SPAN, an off-cone query memoises its own key alone
-    _k_finite.cache_clear()
-    assert k_recurrence_finite(RootSystem("C", 2000), (2, 1), ()) == QSeries.zero()
-    assert _k_finite.cache_info().currsize == 1
+    for rs, nu, mu in ((RootSystem("C", 2000), (2, 1), ()),
+                       (RootSystem("D", 1000), (2,) * 1000, (2,) * 999)):
+        _k_finite.cache_clear()
+        assert k_recurrence_finite(rs, nu, mu) == QSeries.zero()
+        assert _k_finite.cache_info().currsize == 1
     _k_finite.cache_clear()
 
 
@@ -191,7 +197,7 @@ def test_off_cone_demanding_an_even_total_in_type_b_fails(monkeypatch):
     # its cone; demanding an even total there too zeroes K_{(1),()} = q^n
     # of the vector representation, and the comparison fails
     cone = recurrence._off_cone
-    monkeypatch.setattr(recurrence, "_off_cone", lambda kind, nu, mu: cone("C", nu, mu))
+    monkeypatch.setattr(recurrence, "_off_cone", lambda kind, n, nu, mu: cone("C", n, nu, mu))
     mismatches = _cone_mismatches(_cone_cases())
     monkeypatch.undo()
     assert all(rs.startswith("B") for rs, _, _ in mismatches), mismatches

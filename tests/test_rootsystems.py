@@ -3,7 +3,7 @@ import pickle
 import random
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import comb
 
 import pytest
@@ -24,8 +24,8 @@ from qweyl.rootsystems import (
     weyl_order,
 )
 from qweyl import rootsystems
-from qweyl.partitions import enumerate_partitions, padded
-from qweyl.qkostant import k_direct
+from qweyl.partitions import dominates, enumerate_partitions, padded
+from qweyl.qkostant import QKostantTable, k_direct, pq_width
 from qweyl.recurrence import degree_bounds, k_recurrence_finite
 from weyl_reference import compose, dominant_dot, sign, whole_group
 
@@ -316,3 +316,38 @@ def test_signed_permutation_is_a_frozen_hashable_value():
             setattr(w, name, ())
     # the benchmark's tracer wraps act in the class dict
     assert "act" in vars(SignedPermutation)
+
+
+def _cone_box():
+    """Every v in {-2..2}^n for n <= 4 and in {-1..1}^5: each has height
+    sum_i (n - i) v_i <= 20."""
+    for n in range(1, 5):
+        yield from product(range(-2, 3), repeat=n)
+    yield from product(range(-1, 2), repeat=5)
+
+
+def test_off_cone_is_exact_against_the_unpruned_peel():
+    # P_q(v) = 0 exactly off Q+.  A negative prefix sum is off Q+, as every
+    # prefix sum is >= 0 on every positive root; on every other v the peel
+    # QKostantTable._rec, which never reads _off_cone, says whether
+    # P_q(v) = 0.  So the one cone test of qweyl is checked against a path
+    # that does not share it, in all three types, D_1 included.
+    mismatches, off = [], 0
+    for kind in "BCD":
+        tab = QKostantTable(kind, pq_width(RootSystem(kind, 5), 20))
+        for v in _cone_box():
+            zero = min(accumulate(v)) < 0 or not tab._rec(v)
+            off += zero
+            if rootsystems._off_cone(kind, len(v), v) != zero:
+                mismatches.append((kind, v))
+    assert not mismatches, mismatches
+    assert off == 2277
+
+
+def test_off_cone_in_type_b_is_dominance():
+    # partitions.dominates and the type-B cone test are two partial-sum
+    # loops over nu - mu; they must agree on every pair
+    parts = enumerate_partitions(6)
+    for nu in parts:
+        for mu in parts:
+            assert dominates(nu, mu) == (not rootsystems._off_cone("B", 6, nu, mu)), (nu, mu)
