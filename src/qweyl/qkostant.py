@@ -15,16 +15,20 @@ packing helpers, and the one slot reader, the stable engine shares).
 so each slot reads back exactly.
 
 K_{lambda,mu}(q) = sum over the Weyl group of sign(w) * P_q(w o lambda - mu).
-`k_direct` sums over the elements `weyl_iter` keeps when it prunes those
-with w o lambda - mu outside the positive cone, where P_q vanishes, as
-one signed sum of packed integers, decoded once (the width covers every
-coefficient of K too).  This module is the reference oracle the
+`k_direct` takes the elements `weyl_iter` keeps when it prunes those
+with w o lambda - mu outside the positive cone, where P_q vanishes, and
+peels each of their terms on Q+ once, as the table would: the signed
+block weights collect on the rests one coordinate shorter, most of them
+cancel, and only the rests left with a nonzero coefficient read the
+table.  The sum stays packed and is decoded once (the width covers
+every coefficient of K too).  This module is the reference oracle the
 recurrence engine is tested against.  `pq_coeffs` answers 0 off the
 positive root cone Q+ by rootsystems._off_cone, the test the finite
 recurrence reads too; so that shared test is itself checked against
 the peel `_rec`, which never reads it.
 In one process on a 2-core VM, Python 3.11, from empty tables: B6 (3)
-takes ~0.01 s, C8 (2,2) ~0.4 s, B10 (2,1) ~1.1 s and B8 (3,2,1) ~5 s.
+takes ~0.006 s, C8 (2,2) ~0.16 s, B10 (2,1) ~0.56 s and B8 (3,2,1)
+~2.1 s.
 """
 
 __all__ = [
@@ -75,10 +79,15 @@ def pq_width(rs: RootSystem, height: int) -> int:
     So every coefficient either way is < 2^b with b the bit length of
     C(N + h, h).  Every partial sum the table forms is a sum of
     nonnegative parts of one P_q coefficient, so no slot carries into
-    the next; the signed sum k_direct forms is exact as an integer and
-    read only once, as K.  The width w is a power of two > b, so that
-    queries share tables, and every coefficient is < 2^(w-1): the signed
-    reader qseries._unpack_signed reads it back.
+    the next.  k_direct forms the integer
+    sum_rest c_rest(2^w) P_q(rest)(2^w), c_rest the signed sum of the
+    block weights its Weyl terms push onto rest.  Its slots may carry and
+    go negative on the way, but q -> 2^w is a ring homomorphism
+    Z[q] -> Z, K is linear in P_q, and `QKostantTable._rec` is the
+    identity P_q(beta) = sum_rest W_e P_q(rest); so that integer is
+    exactly K(2^w), read only once, as K.  The width w is a power of two
+    > b, so that queries share tables, and every coefficient is
+    < 2^(w-1): the signed reader qseries._unpack_signed reads it back.
     """
     n = rs.rank
     roots = n * n if rs.kind != "D" else n * (n - 1)
@@ -239,15 +248,46 @@ def k_direct(rs: RootSystem, lam: Partition, mu: Partition) -> QSeries:
     """K_{lam,mu}(q) = sum_w sign(w) P_q(w o lam - mu), lam and mu dominant.
 
     The sum runs over the w that `weyl_iter(rs, lam, mu)` yields; every
-    term it skips has w o lam - mu outside the positive cone, so is 0.
-    The terms are summed packed and decoded once: the table's width holds
-    every coefficient of K (see `pq_width`)."""
+    term it skips has w o lam - mu outside the positive cone, so is 0,
+    and of the rest only the beta_w = w o lam - mu on Q+ count
+    (`rootsystems._off_cone`).  Each of those is peeled once, as `_rec`
+    peels it: P_q(beta_w) = sum over its rests of W_e(q) P_q(rest), the
+    rests one coordinate shorter, e their leftover budget and W_e the
+    block weight, packed (`_block_weight`); beta_1 = 0 gives the rest
+    tail with weight 1.  The sum is linear in P_q, so
+    K = sum over rests of c_rest(q) P_q(rest), c_rest the signed sum of
+    sign(w) W_e over the terms that reach it.  Most terms cancel there,
+    and only the rests with c_rest != 0 read the table.  Packing
+    q -> 2^w is a ring homomorphism, so the signed packed products sum
+    to exactly K(2^w) whatever the slots of the c_rest hold; it is
+    decoded once, as every coefficient of K is below 2^(w-1) (see
+    `pq_width`)."""
     lam, mu = check_dominant(rs, lam), check_dominant(rs, mu)
     tab = _direct_table(rs, lam, mu)
-    mu_p = padded(mu, rs.rank)
-    acc = sum(sgn * tab.pq_coeffs(tuple(a - b for a, b in zip(dot_action(w, lam, rs), mu_p)))
-              for w, sgn in weyl_iter(rs, lam, mu))
-    return QSeries._trusted(_unpack_signed(acc, tab.width), None)
+    kind, n, width = rs.kind, rs.rank, tab.width
+    mu_p = padded(mu, n)
+    step = 1 if kind == "B" else 2
+    blocks: dict[int, list[int]] = {}
+    coeffs: dict[tuple[int, ...], int] = {}
+    get = coeffs.get
+    for w, sgn in weyl_iter(rs, lam, mu):
+        beta = tuple(a - b for a, b in zip(dot_action(w, lam, rs), mu_p))
+        if _off_cone(kind, n, beta):
+            continue
+        s, tail = beta[0], beta[1:]
+        weights = blocks.get(s)
+        if weights is None:
+            weights = blocks[s] = [
+                sum(c << deg * width for deg, c in _block_weight(kind, n - 1, s, e))
+                for e in range(s + 1)]
+        tk = tail[-1]
+        for head, left, prefix in _heads(tail[:-1], s):
+            lo = tk - left if tk - left > -prefix else -prefix
+            for x in range(lo, tk + left + 1, step):
+                rest = head + (x,)
+                coeffs[rest] = get(rest, 0) + sgn * weights[left - (tk - x if x < tk else x - tk)]
+    acc = sum(c * tab.pq_coeffs(rest) for rest, c in coeffs.items() if c)
+    return QSeries._trusted(_unpack_signed(acc, width), None)
 
 
 def weight_multiplicity(rs: RootSystem, lam: Partition, mu: Partition) -> int:

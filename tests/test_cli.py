@@ -429,10 +429,10 @@ def test_k_json_params_name_the_default_method(capsys):
 
 
 def test_k_json_meta_reports_pq_states(capsys):
-    # every entry, of ranks 6 down to 1, of the P_q table k_direct filled,
+    # every entry, of ranks 5 down to 1, of the P_q table k_direct filled,
     # beside cache_stats; the tables are per process, so start them empty
     # as a command does
-    for method, states in (("direct", 765), ("recurrence", 0)):
+    for method, states in (("direct", 262), ("recurrence", 0)):
         _table.cache_clear()
         code, out, _ = run(capsys, "k", "--type", "B", "--rank", "6", "--lam", "3",
                            "--method", method, "--format", "json")

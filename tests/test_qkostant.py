@@ -23,7 +23,7 @@ from qweyl.rootsystems import (
     weyl_iter,
     weyl_order,
 )
-from weyl_reference import sign, whole_group
+from weyl_reference import k_direct_by_terms, sign, whole_group
 
 
 def pq_naive(rs, beta):
@@ -338,7 +338,8 @@ def test_q_kostant_rejects_a_weight_of_the_wrong_length():
 def test_one_table_per_type_and_width_holds_every_rank():
     # B6 (3) and B5 (3) both read the width-64 table of type B: the
     # second query adds no table, and the one memo holds keys of every
-    # length from 1 to 6
+    # length from 1 to 5 (k_direct reads the rests of its rank-6 terms,
+    # one coordinate shorter, not the terms)
     _table.cache_clear()
     B6, B5 = RootSystem("B", 6), RootSystem("B", 5)
     k_direct(B6, (3,), ())
@@ -346,7 +347,7 @@ def test_one_table_per_type_and_width_holds_every_rank():
     assert _table.cache_info().currsize == 1
     tab = _direct_table(B5, (3,), ())
     assert tab is _direct_table(B6, (3,), ()) and tab.width == 64
-    assert {len(beta) for beta in tab.memo} == set(range(1, 7))
+    assert {len(beta) for beta in tab.memo} == set(range(1, 6))
     _table.cache_clear()
 
 
@@ -443,6 +444,41 @@ def test_pruned_weyl_iter_against_full_group():
                         seen["mirror"] += min(lam + mu + (0,)) < 0
                         seen["zero_coordinate"] += len(lam) < n
     assert all(seen.values()), seen
+
+
+def test_k_direct_equals_the_term_by_term_sum():
+    # k_direct peels each Weyl term on Q+ once and reads the table only at
+    # the rests whose signed coefficient survives; the sum of one P_q value
+    # per term must give the same K, on every dominated mu and on the type-D
+    # mirror weights
+    cells = 0
+    for kind in "BCD":
+        for n in range(2, 7):
+            rs = RootSystem(kind, n)
+            pairs = [(lam, mu) for lam in enumerate_partitions(4) if len(lam) <= n
+                     for mu in enumerate_partitions(weight(lam))
+                     if len(mu) <= n and dominates(lam, mu)]
+            if kind == "D" and n <= 3:
+                weights = _dominant_weights(kind, n, 4)
+                pairs += [(lam, mu) for lam in weights for mu in weights
+                          if min(lam + mu + (0,)) < 0]
+            for lam, mu in pairs:
+                assert k_direct(rs, lam, mu) == k_direct_by_terms(rs, lam, mu), (rs, lam, mu)
+                cells += 1
+    assert cells > 1000, cells
+
+
+def test_k_direct_reads_no_table_off_the_cone(monkeypatch):
+    # every Weyl term of these queries is off Q+ (an odd total in type C,
+    # S_{n-1} < |v_n| in type D), so k_direct peels none and reads no P_q
+    reads = []
+    pq_coeffs = QKostantTable.pq_coeffs
+    monkeypatch.setattr(QKostantTable, "pq_coeffs",
+                        lambda tab, beta: reads.append(beta) or pq_coeffs(tab, beta))
+    for rs, lam, mu in ((RootSystem("C", 3), (2, 1), ()), (RootSystem("C", 4), (3, 2), (1, 1)),
+                        (RootSystem("D", 3), (2, 2, 2), (2, 2))):
+        assert k_direct(rs, lam, mu).is_zero(), (rs, lam, mu)
+        assert reads == [], (rs, lam, mu, reads)
 
 
 def test_k_direct_rejects_non_integral_parts():

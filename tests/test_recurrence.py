@@ -78,7 +78,7 @@ def test_recurrence_matches_direct_rank4_spots():
             )
 
 
-@pytest.mark.parametrize("n, max_weight", [(5, 5), (6, 4)])
+@pytest.mark.parametrize("n, max_weight", [(5, 5), (6, 4), (7, 4)])
 def test_recurrence_matches_direct_sum_high_rank(n, max_weight):
     for kind in "BCD":
         rs = RootSystem(kind, n)

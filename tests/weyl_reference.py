@@ -1,11 +1,17 @@
-"""Weyl-group references for the tests, sharing no code with the walk
+"""Weyl-group references for the tests.  Sharing no code with the walk
 `qweyl.rootsystems.weyl_iter`: the whole group by brute force, the sign
 of an element as a permutation parity, composition, and the
-Brauer-Klimyk step into the dominant chamber."""
+Brauer-Klimyk step into the dominant chamber.  Over that walk: the
+alternating sum of `qweyl.qkostant.k_direct` term by term, one `P_q`
+value per Weyl term, the reference for its peeled signed sum."""
 
 from itertools import permutations, product
 
-from qweyl.rootsystems import RootSystem, SignedPermutation, rho_doubled
+from qweyl.partitions import padded
+from qweyl.qkostant import _direct_table
+from qweyl.qseries import QSeries, _unpack_signed
+from qweyl.rootsystems import (RootSystem, SignedPermutation, check_dominant, dot_action,
+                               rho_doubled, weyl_iter)
 
 
 def whole_group(rs: RootSystem) -> list[SignedPermutation]:
@@ -80,3 +86,15 @@ def dominant_dot(rs: RootSystem, beta: tuple[int, ...]) -> tuple[int, tuple[int,
     while lam and lam[-1] == 0:
         lam.pop()
     return sign, tuple(lam)
+
+
+def k_direct_by_terms(rs: RootSystem, lam, mu) -> QSeries:
+    """K_{lam,mu}(q) = sum_w sign(w) P_q(w o lam - mu) over the w of
+    `weyl_iter(rs, lam, mu)`, one `pq_coeffs` read per Weyl term, summed
+    packed on the table `k_direct` reads and decoded once."""
+    lam, mu = check_dominant(rs, lam), check_dominant(rs, mu)
+    tab = _direct_table(rs, lam, mu)
+    mu_p = padded(mu, rs.rank)
+    acc = sum(sgn * tab.pq_coeffs(tuple(a - b for a, b in zip(dot_action(w, lam, rs), mu_p)))
+              for w, sgn in weyl_iter(rs, lam, mu))
+    return QSeries._trusted(_unpack_signed(acc, tab.width), None)
