@@ -175,7 +175,8 @@ def _suite_stability(args):
                 continue
             a = len(mu)
             for k in range(args.max_k + 1):
-                lo, hi = 2 * k + a, min(2 * k + a + 2, 5)
+                # ranks up to 5, or up to 2 * max_k + 1 so the top k has a pair
+                lo, hi = 2 * k + a, min(2 * k + a + 2, max(5, 2 * args.max_k + 1))
                 ranks = [n for n in range(lo, hi + 1) if n >= max(2, len(nu), len(mu))]
                 if len(ranks) < 2:
                     continue

@@ -25,7 +25,6 @@ __all__ = [
     "p_basis_matrix",
 ]
 
-from heapq import heappop, heappush
 from itertools import accumulate
 from operator import ge
 
@@ -142,15 +141,16 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
 
     Each column mu is solved by scattering: once inv[kappa, mu] is final
     and nonzero, K[lam, kappa] * inv[kappa, mu] is subtracted from the
-    pending value of every row lam with K[lam, kappa] != 0, so rows that
-    are provably zero are never visited.  Entries are inserted in the same
-    order as by a full back substitution over the window.  The scatter
-    runs on the packed values of the stable memo: one integer product per
-    (row, column), cut mod q^{D+1} once a row is final, under the
-    coefficient bound that recurrence._fit proves.  Each column of K is
-    sorted by the lowest degree of its entries, so a row whose value has
-    lowest degree o scatters the entries of lowest degree <= D - o and
-    stops at the first one above.
+    pending value of every row lam with K[lam, kappa] != 0.  The column is
+    one ascending scan of the solve order, so a row that no nonzero entry
+    reaches costs one dict miss and is never solved.  Entries are
+    inserted in the same order as by a full back substitution over the
+    window.  The scatter runs on the packed values of the stable memo:
+    one integer product per (row, column), cut mod q^{D+1} once a row is
+    final, under the coefficient bound that recurrence._fit proves.  Each
+    column of K is sorted by the lowest degree of its entries, so a row
+    whose value has lowest degree o scatters the entries of lowest
+    degree <= D - o and stops at the first one above.
     """
     km = k_matrix(family, weight_bound, D)
     index = km.index
@@ -172,14 +172,16 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
     inv: dict[tuple[Partition, Partition], QSeries] = {}
     for mu in index:
         # pending[i]: [packed inv[solve_order[i], mu] so far, bound on its
-        # coefficients]; a row is pushed only by an earlier row, so every
-        # term it needs has been scattered into it when it is popped
+        # coefficients]; every K[lam, kappa] off the diagonal has lam after
+        # kappa in solve order, so a row is scattered into only by earlier
+        # rows, and every term it needs is in when the scan reaches it
         start = position[mu]
         pending = {start: [1, 1]}
-        todo = [start]
-        while todo:
-            i = heappop(todo)
-            packed, top, _, lowest, series = _pooled(_fit(*pending.pop(i), D), D)
+        for i in range(start, len(solve_order)):
+            row = pending.pop(i, None)
+            if row is None:
+                continue
+            packed, top, _, lowest, series = _pooled(_fit(*row, D), D)
             if not packed:
                 continue
             inv[(solve_order[i], mu)] = series
@@ -192,7 +194,6 @@ def p_basis_matrix(family: str, weight_bound: int, D: int) -> TruncatedKMatrix:
                 acc = pending.get(j)
                 if acc is None:
                     pending[j] = [-kval * packed, l1 * top]
-                    heappush(todo, j)
                 else:
                     acc[0] -= kval * packed
                     acc[1] += l1 * top

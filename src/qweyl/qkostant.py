@@ -44,7 +44,7 @@ from itertools import accumulate
 from math import comb
 
 from .partitions import Partition, integral_parts, padded
-from .qseries import QSeries, _unpack_signed
+from .qseries import QSeries, _pack, _unpack_signed
 from .rootsystems import RootSystem, _off_cone, check_dominant, dot_action, weyl_iter
 
 
@@ -129,6 +129,13 @@ def _block_weight(kind: str, m: int, s: int, e: int) -> tuple[tuple[int, int], .
     return tuple((s - c, comb(e // 2 - c + m - 1, m - 1)) for c in range(e // 2 + 1))
 
 
+@cache
+def _block_weights(kind: str, m: int, s: int, width: int) -> tuple[int, ...]:
+    """The block weights W_e of `_block_weight` for e = 0..s, each packed
+    in slots of `width` bits, as `_rec` and `k_direct` read them."""
+    return tuple(_pack(_block_weight(kind, m, s, e), width) for e in range(s + 1))
+
+
 class QKostantTable:
     """Memoized q-Kostant partition function for one type at every rank,
     packed in slots of `width` bits.
@@ -159,7 +166,8 @@ class QKostantTable:
         sum |d_j| <= s = beta_1 and nonnegative prefix sums leaves
         e = s - sum |d_j| to the eps_1 block: sums[e] adds up P_q(rest)
         over those rests, one integer addition each, and each block
-        weight is then applied once per e, as a multiply and a shift.
+        weight is then applied once per e, as one multiply by its packed
+        value in the row of `_block_weights`.
         A rest is a head from `_heads` plus a last coordinate x.  In types
         C and D only the rests with e even are visited: an odd e has an
         empty block.  There `pq_coeffs` peels only a beta of even
@@ -196,12 +204,11 @@ class QKostantTable:
                 if sub is None:
                     sub = rec(rest)
                 sums[left - (tk - x if x < tk else x - tk)] += sub
-        m = len(tail)
+        row = _block_weights(kind, len(tail), s, width)
         acc = 0
         for e, total in enumerate(sums):
             if total:
-                for deg, c in _block_weight(kind, m, s, e):
-                    acc += total * c << deg * width
+                acc += total * row[e]
         self.memo[beta] = acc
         return acc
 
@@ -253,21 +260,20 @@ def k_direct(rs: RootSystem, lam: Partition, mu: Partition) -> QSeries:
     (`rootsystems._off_cone`).  Each of those is peeled once, as `_rec`
     peels it: P_q(beta_w) = sum over its rests of W_e(q) P_q(rest), the
     rests one coordinate shorter, e their leftover budget and W_e the
-    block weight, packed (`_block_weight`); beta_1 = 0 gives the rest
-    tail with weight 1.  The sum is linear in P_q, so
-    K = sum over rests of c_rest(q) P_q(rest), c_rest the signed sum of
-    sign(w) W_e over the terms that reach it.  Most terms cancel there,
-    and only the rests with c_rest != 0 read the table.  Packing
-    q -> 2^w is a ring homomorphism, so the signed packed products sum
-    to exactly K(2^w) whatever the slots of the c_rest hold; it is
-    decoded once, as every coefficient of K is below 2^(w-1) (see
-    `pq_width`)."""
+    block weight, packed in the row of `_block_weights` that `_rec` reads
+    too; beta_1 = 0 gives the rest tail with weight 1.  The sum is linear
+    in P_q, so K = sum over rests of c_rest(q) P_q(rest), c_rest the
+    signed sum of sign(w) W_e over the terms that reach it.  Most terms
+    cancel there, and only the rests with c_rest != 0 read the table.
+    Packing q -> 2^w is a ring homomorphism, so the signed packed
+    products sum to exactly K(2^w) whatever the slots of the c_rest
+    hold; it is decoded once, as every coefficient of K is below
+    2^(w-1) (see `pq_width`)."""
     lam, mu = check_dominant(rs, lam), check_dominant(rs, mu)
     tab = _direct_table(rs, lam, mu)
     kind, n, width = rs.kind, rs.rank, tab.width
     mu_p = padded(mu, n)
     step = 1 if kind == "B" else 2
-    blocks: dict[int, list[int]] = {}
     coeffs: dict[tuple[int, ...], int] = {}
     get = coeffs.get
     for w, sgn in weyl_iter(rs, lam, mu):
@@ -275,11 +281,7 @@ def k_direct(rs: RootSystem, lam: Partition, mu: Partition) -> QSeries:
         if _off_cone(kind, n, beta):
             continue
         s, tail = beta[0], beta[1:]
-        weights = blocks.get(s)
-        if weights is None:
-            weights = blocks[s] = [
-                sum(c << deg * width for deg, c in _block_weight(kind, n - 1, s, e))
-                for e in range(s + 1)]
+        weights = _block_weights(kind, n - 1, s, width)
         tk = tail[-1]
         for head, left, prefix in _heads(tail[:-1], s):
             lo = tk - left if tk - left > -prefix else -prefix

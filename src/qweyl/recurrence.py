@@ -321,7 +321,12 @@ def degree_bounds(rs: RootSystem, nu: Partition, mu: Partition) -> tuple[int, in
     dual = RootSystem({"B": "C", "C": "B", "D": "D"}[rs.kind], n)
     rd = rho_doubled(dual)
     upper = sum(r * (a - b) for r, a, b in zip(rd, padded(nu, n), padded(mu, n))) // 2
-    return (weight(nu) - weight(mu) + 1) // 2, upper
+    # the lowest degree is at least (|nu| - |mu|)/2, the bound of the module
+    # docstring, and K_{nu,mu} = K_{sigma nu, sigma mu} for the diagram flip
+    # sigma (the identity in B and C), so the flipped pair's bound holds too
+    flip = diagram_flip(rs.kind, n, nu), diagram_flip(rs.kind, n, mu)
+    lower = max((weight(a) - weight(b) + 1) // 2 for a, b in ((nu, mu), flip))
+    return lower, upper
 
 
 def brylinski_dims(rs: RootSystem, lam: Partition, mu: Partition, k: int) -> int:

@@ -74,11 +74,12 @@ def test_json_meta_reports_every_memo_table(capsys):
     assert set(stats) == {"tables"}
     tables = stats["tables"]
     assert set(tables) == {
-        "rootsystems.rho_doubled", "qkostant._table", "branching._sym_mult",
-        "branching._stable_euler_factor", "recurrence._k_finite", "recurrence._finite_pieri",
-        "recurrence._k_limit", "recurrence._morris_step", "recurrence._pooled",
-        "recurrence._shared", "pieri._pieri_support", "partitions._partitions_in_class",
-        "partitions._checked_partition", "rootsystems._checked_dominant", "lr.lr_cache",
+        "rootsystems.rho_doubled", "qkostant._table", "qkostant._block_weights",
+        "branching._sym_mult", "branching._stable_euler_factor", "recurrence._k_finite",
+        "recurrence._finite_pieri", "recurrence._k_limit", "recurrence._morris_step",
+        "recurrence._pooled", "recurrence._shared", "pieri._pieri_support",
+        "partitions._partitions_in_class", "partitions._checked_partition",
+        "rootsystems._checked_dominant", "lr.lr_cache",
     }
     assert all(set(t) == {"hits", "misses", "size"} for t in tables.values())
     assert tables["recurrence._k_limit"]["size"] > 0
@@ -146,6 +147,7 @@ def test_usage_errors(capsys):
         ("verify", "--suite", "degrees", "--max-rank", "-1"),
         ("verify", "--suite", "degrees", "--max-rank", "1"),
         ("verify", "--suite", "stability", "--max-k", "-3"),
+        ("verify", "--suite", "stability", "--max-rank", "7"),
         # a grid with no check in it
         ("verify", "--suite", "stability", "--max-weight", "0", "--max-k", "0"),
     ):
@@ -348,6 +350,14 @@ def test_verify_hesselink_grid(capsys, monkeypatch):
     assert code == 1 and doc["failures"]
     assert {f["path"] for f in doc["failures"]} == {"recurrence"}
     assert {f["rs"][0] for f in doc["failures"]} == set("BCD")
+
+
+def test_verify_stability_ranks_grow_with_max_k(capsys):
+    # coefficient k is compared from rank 2k + l(mu) up; with ranks capped at
+    # 5 a k above 2 would add no check (121, as at the defaults)
+    code, out, _ = run(capsys, "verify", "--suite", "stability", "--max-k", "3")
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] is True and doc["checks"] == 193
 
 
 def test_verify_stable_hesselink_default_grid(capsys):

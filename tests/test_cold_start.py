@@ -13,7 +13,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # what dataclasses and a module-level `import ast` used to pull in; none of
 # it is used at run time (cache_load imports ast when it is called)
 NOT_AT_IMPORT = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "copy", "linecache")
-# the standard-library modules qweyl imports at module level besides heapq
+# the standard-library modules qweyl imports at module level, all of them
 PRELOADED = ("collections.abc", "functools", "itertools", "math", "operator")
 
 
@@ -51,11 +51,11 @@ def test_import_leaves_the_on_disk_cache_unloaded():
     assert "qweyl.cache" not in new, sorted(name for name in new if name.startswith("qweyl"))
 
 
-def test_import_adds_only_heapq_to_what_qweyl_imports():
+def test_import_adds_nothing_to_what_qweyl_imports():
     # with the modules qweyl imports preloaded, as site preloads some of
-    # them, the rest of the standard library that `import qweyl` adds is heapq
+    # them, `import qweyl` adds no other module of the standard library
     outside = {name for name in _new_modules(PRELOADED) if name.split(".")[0] != "qweyl"}
-    assert outside <= {"heapq", "_heapq"}, sorted(outside)
+    assert not outside, sorted(outside)
 
 
 def test_cold_cli_run_prints_the_recurrence():

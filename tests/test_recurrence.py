@@ -704,7 +704,10 @@ def test_degree_bounds_examples():
     assert degree_bounds(RootSystem("C", 2), (2,), ()) == (1, 3)
     assert degree_bounds(RootSystem("B", 3), (1,), ()) == (1, 3)
     assert degree_bounds(RootSystem("D", 3), (2, 1, 1), (2, 1, 1)) == (0, 0)
-    assert degree_bounds(RootSystem("D", 3), (2, 2, -2), ()) == (1, 6)
+    # type D takes the larger lower end of (nu, mu) and its diagram flip
+    assert degree_bounds(RootSystem("D", 3), (2, 2, -2), ()) == (3, 6)
+    assert degree_bounds(RootSystem("D", 3), (2, 1), (1, 1, 1)) == (1, 2)
+    assert degree_bounds(RootSystem("D", 3), (2, 2, -1), (1,)) == (2, 4)
 
 
 def test_degree_bounds_hold_and_top_is_monic():
